@@ -1454,6 +1454,11 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
                 w.name, w.ranks, w.events, w.events_per_sec
             );
         }
+        let x = &snap.explore;
+        println!(
+            "explore({}): {} replays, {:.0} replays/sec",
+            x.workload, x.replays, x.replays_per_sec
+        );
         if let Some(path) = out {
             if let Err(e) = std::fs::write(&path, snap.to_json()) {
                 return fail(&format!("writing {path}: {e}"));

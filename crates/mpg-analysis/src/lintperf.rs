@@ -10,9 +10,10 @@
 //! candidate), measures `lint_full` events/sec, and round-trips the
 //! results through the same snapshot format as `BENCH_replay.json` so
 //! `lint.sh` can fail a change that regresses lint throughput by more than
-//! a threshold. A fourth row times the pass-8 schedule explorer
-//! (`lint_explore`, budget 256) in forced replays per second, gating the explorer's per-schedule cost under the same
-//! host-calibrated threshold. The gate reuses [`perf::calibrate`](crate::perf::calibrate)
+//! a threshold. An `"explore"` section times the pass-8 schedule explorer
+//! (`lint_explore`, budget 256) in forced replays per second
+//! (`replays_per_sec`), gating the explorer's per-schedule cost under the
+//! same host-calibrated threshold. The gate reuses [`perf::calibrate`](crate::perf::calibrate)
 //! host-speed scaling, so a loaded box loosens the floor instead of
 //! producing false failures.
 
@@ -76,6 +77,22 @@ pub struct LintPerfSnapshot {
     /// wall time; `scheduler_wakeups`/`polls_avoided` are unused here and
     /// recorded as 0).
     pub workloads: Vec<WorkloadPerf>,
+    /// The schedule-explorer measurement.
+    pub explore: ExplorePerf,
+}
+
+/// The pass-8 explorer measurement: the bounded schedule walk over one
+/// pinned workload, in forced replays per second.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExplorePerf {
+    /// Pinned workload the walk runs over.
+    pub workload: String,
+    /// Rank count.
+    pub ranks: u32,
+    /// Forced replays per run (the walk always exhausts its budget).
+    pub replays: u64,
+    /// Best-of-reps forced replays per second.
+    pub replays_per_sec: f64,
 }
 
 /// Measures `lint_full` over every pinned workload: one warmup, then
@@ -109,13 +126,11 @@ pub fn measure(reps: u32) -> LintPerfSnapshot {
         });
     }
     // Explore throughput: the bounded pass-8 schedule walk over the
-    // wildcard-heavy master-worker (its frontier
-    // always exhausts the budget, so every rep forces the same number of
-    // alternate-matching replays). `events` here counts schedules
-    // replayed, not trace events — the unit the explorer's cost scales
-    // with — so `events_per_sec` is forced replays per second.
-    {
-        let (_, ranks, trace) = pinned_traces().swap_remove(0);
+    // wildcard-heavy master-worker (its frontier always exhausts the
+    // budget, so every rep forces the same number of alternate-matching
+    // replays), counted in the unit the explorer's cost scales with.
+    let explore = {
+        let (name, ranks, trace) = pinned_traces().swap_remove(0);
         // Budget 256 (vs the CLI default 64) keeps each timed rep long
         // enough (~100ms) that thread-pool spawn jitter doesn't dominate
         // the measurement on a loaded box.
@@ -132,19 +147,18 @@ pub fn measure(reps: u32) -> LintPerfSnapshot {
             std::hint::black_box(mpg_lint::lint_explore(&trace, &opts));
             best = best.min(t.elapsed().as_secs_f64());
         }
-        workloads.push(WorkloadPerf {
-            name: "explore-master-worker-8".to_string(),
+        ExplorePerf {
+            workload: name.to_string(),
             ranks,
-            events: warm.stats.explored,
-            events_per_sec: warm.stats.explored as f64 / best,
-            scheduler_wakeups: 0,
-            polls_avoided: 0,
-        });
-    }
+            replays: warm.stats.explored,
+            replays_per_sec: warm.stats.explored as f64 / best,
+        }
+    };
     LintPerfSnapshot {
         reps,
         calibration: calibrate(),
         workloads,
+        explore,
     }
 }
 
@@ -153,6 +167,16 @@ impl LintPerfSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         crate::benchjson::write_header(&mut out, "lint_throughput", self.reps, self.calibration);
+        let x = &self.explore;
+        out.push_str("  \"explore\": {\n");
+        out.push_str(&format!("    \"workload\": \"{}\",\n", x.workload));
+        out.push_str(&format!("    \"ranks\": {},\n", x.ranks));
+        out.push_str(&format!("    \"replays\": {},\n", x.replays));
+        out.push_str(&format!(
+            "    \"replays_per_sec\": {:.0}\n",
+            x.replays_per_sec
+        ));
+        out.push_str("  },\n");
         crate::benchjson::write_workloads(&mut out, &self.workloads, false, &[]);
         out
     }
@@ -162,19 +186,38 @@ impl LintPerfSnapshot {
 /// Same contract and host-speed scaling as
 /// [`perf::regressions`](crate::perf::regressions): one message per
 /// workload more than `threshold_pct` percent below the (scaled) recorded
-/// throughput; empty means the gate passes.
+/// throughput; empty means the gate passes. The explorer gates on
+/// replays/sec the same way, when the recorded document carries it.
 pub fn regressions(
     recorded_json: &str,
     current: &LintPerfSnapshot,
     threshold_pct: f64,
 ) -> Vec<String> {
-    crate::benchjson::throughput_regressions(
+    let host_scale = crate::benchjson::host_scale(recorded_json, current.calibration);
+    let mut msgs = crate::benchjson::throughput_regressions(
         recorded_json,
         &current.workloads,
-        crate::benchjson::host_scale(recorded_json, current.calibration),
+        host_scale,
         threshold_pct,
         "lint events/sec",
-    )
+    );
+    if let Some(rec) = crate::benchjson::number(recorded_json, "replays_per_sec") {
+        let cur = &current.explore;
+        let scaled = rec * host_scale;
+        if cur.replays_per_sec < scaled * (1.0 - threshold_pct / 100.0) {
+            msgs.push(format!(
+                "explore({}): {:.0} replays/sec is {:.1}% below the recorded {:.0} \
+                 (host-speed scale {:.2}, allowed drop {:.0}%)",
+                cur.workload,
+                cur.replays_per_sec,
+                (1.0 - cur.replays_per_sec / scaled) * 100.0,
+                rec,
+                host_scale,
+                threshold_pct
+            ));
+        }
+    }
+    msgs
 }
 
 #[cfg(test)]
@@ -197,7 +240,18 @@ mod tests {
                     polls_avoided: 0,
                 })
                 .collect(),
+            explore: ExplorePerf {
+                workload: "master-worker-8".into(),
+                ranks: 8,
+                replays: 256,
+                replays_per_sec: 3000.0,
+            },
         }
+    }
+
+    fn with_explore(mut snap: LintPerfSnapshot, replays_per_sec: f64) -> LintPerfSnapshot {
+        snap.explore.replays_per_sec = replays_per_sec;
+        snap
     }
 
     #[test]
@@ -212,6 +266,31 @@ mod tests {
             ]
         );
         assert_eq!(PerfSnapshot::parse_calibration(&json), Some(1.0e9));
+    }
+
+    #[test]
+    fn explore_row_is_replays_per_sec() {
+        let json = with_explore(snapshot(&[("stencil-8", 1.0e6)], 1.0e9), 3000.0).to_json();
+        assert_eq!(
+            crate::benchjson::number(&json, "replays_per_sec"),
+            Some(3000.0)
+        );
+        assert_eq!(crate::benchjson::number(&json, "replays"), Some(256.0));
+        // The explorer row is not a lint events/sec row.
+        assert_eq!(
+            PerfSnapshot::parse_events_per_sec(&json),
+            vec![("stencil-8".to_string(), 1.0e6)]
+        );
+        let recorded = json;
+        let slower = with_explore(snapshot(&[("stencil-8", 1.0e6)], 1.0e9), 2000.0);
+        let msgs = regressions(&recorded, &slower, 20.0);
+        assert_eq!(msgs.len(), 1);
+        assert!(
+            msgs[0].starts_with("explore(master-worker-8):") && msgs[0].contains("replays/sec"),
+            "{msgs:?}"
+        );
+        let close = with_explore(snapshot(&[("stencil-8", 1.0e6)], 1.0e9), 2900.0);
+        assert!(regressions(&recorded, &close, 20.0).is_empty());
     }
 
     #[test]
@@ -232,9 +311,11 @@ mod tests {
     #[test]
     fn measure_smoke() {
         let snap = measure(1);
-        assert_eq!(snap.workloads.len(), 4);
+        assert_eq!(snap.workloads.len(), 3);
         for w in &snap.workloads {
             assert!(w.events > 0 && w.events_per_sec > 0.0, "{w:?}");
         }
+        let x = snap.explore;
+        assert!(x.replays > 0 && x.replays_per_sec > 0.0, "{x:?}");
     }
 }

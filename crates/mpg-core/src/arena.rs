@@ -15,10 +15,28 @@
 //! no hashing on the hot path, no per-node boxes, and the columns a pass
 //! doesn't touch stay cold.
 //!
+//! # The interner
+//!
+//! Structural ids ([`NodeId`] = rank, seq, point, hub) map to dense
+//! indices by offset arithmetic, not hashing: each rank owns a slot table
+//! indexed by `seq × 3 + kind`, with one slot each for the start, end and
+//! hub subevent of that seq. Recording, MPGA decode and every
+//! [`GraphArena::node_index`] lookup are a bounds check and a load.
+//!
+//! A rank's table grows only to cover a seq within a fixed slack of twice
+//! the nodes that rank already holds, and the rank list only to a rank
+//! within a slack of twice all nodes held, so the table stays a small
+//! multiple of the node count. An id outside that allowance — a seq gap in
+//! a salvaged trace, a seq near `u64::MAX` in a hand-built or crafted
+//! arena, the never-recorded start-point hub — goes to an ordered overflow
+//! map instead. Recorded traces touch seqs in order, so their overflow
+//! stays empty and lookups never reach it.
+//!
 //! Edge order is creation order, which the recorder guarantees is a valid
 //! topological order; every traversal here leans on that.
 
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use crate::graph::{Edge, NodeId, NodeLabel, Point};
 use crate::perturb::DeltaClass;
@@ -53,7 +71,7 @@ pub struct GraphArena {
     pub(crate) labeled: usize,
 
     /// Interner: structural id → dense index.
-    pub(crate) index: HashMap<NodeId, NodeIdx>,
+    pub(crate) interner: Interner,
 
     // ---- edge columns, indexed by edge position (creation order) ----
     pub(crate) edge_src: Vec<NodeIdx>,
@@ -95,10 +113,10 @@ impl GraphArena {
 
     /// Interns `node`, returning its dense index.
     pub fn intern(&mut self, node: NodeId) -> NodeIdx {
-        if let Some(&i) = self.index.get(&node) {
-            return i;
-        }
         let i = self.node_rank.len() as NodeIdx;
+        if let Some(old) = self.interner.get_or_insert(node, i) {
+            return old;
+        }
         self.node_rank.push(node.rank);
         self.node_seq.push(node.seq);
         let mut flags = 0u8;
@@ -111,13 +129,12 @@ impl GraphArena {
         self.node_flags.push(flags);
         self.label_kind.push("");
         self.label_t.push(0);
-        self.index.insert(node, i);
         i
     }
 
     /// Dense index of an already-interned node.
     pub fn node_index(&self, node: &NodeId) -> Option<NodeIdx> {
-        self.index.get(node).copied()
+        self.interner.get(node)
     }
 
     /// Reconstructs the structural id of node `i`.
@@ -277,6 +294,119 @@ impl GraphArena {
     }
 }
 
+/// Slack, in seqs, a rank's slot table may grow past twice the nodes the
+/// rank already holds.
+const SEQ_SLACK: u64 = 64;
+
+/// Slack, in ranks, the rank list may grow past twice all nodes held.
+const RANK_SLACK: u64 = 4096;
+
+/// Slots per seq in a rank's table: start, end, hub.
+const KINDS: usize = 3;
+
+/// Slot of `node`'s kind within its seq; `None` for the start-point hub,
+/// which the recorder never produces.
+fn kind(node: &NodeId) -> Option<usize> {
+    match (node.point, node.hub) {
+        (Point::Start, false) => Some(0),
+        (Point::End, false) => Some(1),
+        (Point::End, true) => Some(2),
+        (Point::Start, true) => None,
+    }
+}
+
+/// One rank's dense slots.
+#[derive(Debug, Default, Clone)]
+struct RankSlots {
+    /// `slots[seq * KINDS + kind]`; `NO_NODE` where nothing is interned.
+    slots: Vec<NodeIdx>,
+    /// Nodes of this rank interned so far, dense or overflow.
+    nodes: u64,
+}
+
+/// Structural id → dense index by per-rank offset arithmetic, with an
+/// ordered overflow map for ids outside the tables' growth allowance (see
+/// the module docs).
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Interner {
+    ranks: Vec<RankSlots>,
+    overflow: BTreeMap<NodeId, NodeIdx>,
+    nodes: u64,
+}
+
+impl Interner {
+    /// Index of `node`, if interned.
+    pub(crate) fn get(&self, node: &NodeId) -> Option<NodeIdx> {
+        let dense = kind(node).and_then(|k| {
+            let slots = &self.ranks.get(node.rank as usize)?.slots;
+            if node.seq >= (slots.len() / KINDS) as u64 {
+                return None;
+            }
+            Some(slots[node.seq as usize * KINDS + k])
+        });
+        match dense {
+            Some(i) if i != NO_NODE => Some(i),
+            _ if self.overflow.is_empty() => None,
+            _ => self.overflow.get(node).copied(),
+        }
+    }
+
+    /// Maps `node` to `next` and returns `None`, or returns the index
+    /// `node` already has.
+    pub(crate) fn get_or_insert(&mut self, node: NodeId, next: NodeIdx) -> Option<NodeIdx> {
+        match dense_slot(&mut self.ranks, self.nodes, &node) {
+            Some(slot) if *slot != NO_NODE => return Some(*slot),
+            // The id may have overflowed before the table grew to its seq.
+            Some(slot) => match self.overflow.get(&node) {
+                Some(&old) => return Some(old),
+                None => *slot = next,
+            },
+            None => match self.overflow.entry(node) {
+                Entry::Occupied(e) => return Some(*e.get()),
+                Entry::Vacant(e) => {
+                    e.insert(next);
+                }
+            },
+        }
+        self.nodes += 1;
+        if let Some(r) = self.ranks.get_mut(node.rank as usize) {
+            r.nodes += 1;
+        }
+        None
+    }
+
+    /// Dense table footprint in words: rank entries plus slots.
+    #[cfg(test)]
+    pub(crate) fn dense_words(&self) -> usize {
+        self.ranks.len() + self.ranks.iter().map(|r| r.slots.len()).sum::<usize>()
+    }
+}
+
+/// The dense slot for `node`, growing the tables when its rank and seq
+/// are within the allowance; `None` sends the id to the overflow map.
+fn dense_slot<'a>(
+    ranks: &'a mut Vec<RankSlots>,
+    held: u64,
+    node: &NodeId,
+) -> Option<&'a mut NodeIdx> {
+    let k = kind(node)?;
+    let r = node.rank as usize;
+    if r >= ranks.len() {
+        if u64::from(node.rank) > 2 * held + RANK_SLACK {
+            return None;
+        }
+        ranks.resize_with(r + 1, RankSlots::default);
+    }
+    let rank = &mut ranks[r];
+    if node.seq >= (rank.slots.len() / KINDS) as u64 {
+        if node.seq > 2 * rank.nodes + SEQ_SLACK {
+            return None;
+        }
+        rank.slots.resize((node.seq as usize + 1) * KINDS, NO_NODE);
+    }
+    Some(&mut rank.slots[node.seq as usize * KINDS + k])
+}
+
 /// Compressed sparse row adjacency: `items[offsets[v]..offsets[v+1]]` are
 /// the edge positions adjacent to node `v`, in creation order.
 #[derive(Debug, Clone)]
@@ -369,6 +499,55 @@ mod tests {
         assert_eq!(a.node_id(i2), n2);
         assert!(a.is_hub(i2));
         assert!(!a.is_hub(i1));
+    }
+
+    #[test]
+    fn interner_roundtrips_hubs_gaps_and_huge_seqs() {
+        let mut a = GraphArena::new(3);
+        let mut ids = Vec::new();
+        for seq in [0, 1, 2, 500, 501, 1 << 40, u64::MAX - 1, u64::MAX] {
+            for rank in 0..3 {
+                ids.extend([
+                    NodeId::start(rank, seq),
+                    NodeId::end(rank, seq),
+                    NodeId::hub(rank, seq),
+                ]);
+            }
+        }
+        // Never recorded, but a hand-built arena may carry them.
+        ids.push(NodeId {
+            point: Point::Start,
+            ..NodeId::hub(1, 7)
+        });
+        ids.push(NodeId::end(u32::MAX, 3));
+        // A salvage-style gap: seqs jump past the table's allowance, then
+        // continue densely until the table grows over the overflowed ids.
+        ids.extend(
+            (0..10)
+                .chain(1_000..3_000)
+                .map(|seq| NodeId::end(2, seq + 10_000)),
+        );
+        for (k, &n) in ids.iter().enumerate() {
+            assert_eq!(a.intern(n), k as NodeIdx, "{n:?} is fresh");
+        }
+        for (k, &n) in ids.iter().enumerate() {
+            let i = k as NodeIdx;
+            assert_eq!(a.node_id(i), n);
+            assert_eq!(a.node_index(&n), Some(i));
+            assert_eq!(a.intern(n), i, "{n:?} re-interns to its index");
+        }
+        assert_eq!(a.num_nodes(), ids.len());
+        assert_eq!(a.node_index(&NodeId::end(0, 3)), None);
+        assert_eq!(a.node_index(&NodeId::end(2, 1 << 41)), None);
+        assert_eq!(a.node_index(&NodeId::start(2, 12_500)), None);
+        // No seq or rank value sized a table: it stays a small multiple of
+        // the node count.
+        assert!(
+            a.interner.dense_words() < 8 * ids.len(),
+            "{} words for {} nodes",
+            a.interner.dense_words(),
+            ids.len()
+        );
     }
 
     #[test]

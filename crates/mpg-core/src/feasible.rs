@@ -66,7 +66,7 @@ use std::collections::BTreeSet;
 
 use mpg_noise::Dist;
 
-use crate::arena::{GraphArena, NodeIdx};
+use crate::arena::{Csr, GraphArena, NodeIdx, NO_NODE};
 use crate::cancel::{CancelReason, CancelToken, CHECK_INTERVAL};
 use crate::graph::{EventGraph, NodeId, Point};
 use crate::perturb::{DeltaClass, PerturbSampler, PerturbationModel, SignedDist};
@@ -132,6 +132,37 @@ pub struct StaticPath {
     pub wait_cycles: Cycles,
 }
 
+/// The totals of one tight chain: a [`StaticPath`] without its edge list,
+/// as [`SlackSweep::chain_table`] computes them for many anchors at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainTotals {
+    /// The end node the chain starts from.
+    pub anchor: NodeId,
+    /// Earliest feasible (== observed) time of the anchor.
+    pub finish: Cycles,
+    /// Number of edges on the chain.
+    pub steps: usize,
+    /// Distinct non-hub ranks the chain traverses (anchor included).
+    pub ranks_touched: usize,
+    /// How many chain edges are message edges (cross-rank or hub).
+    pub message_hops: usize,
+    /// Wait-state cycles absorbed along the chain.
+    pub wait_cycles: Cycles,
+}
+
+impl From<&StaticPath> for ChainTotals {
+    fn from(path: &StaticPath) -> Self {
+        Self {
+            anchor: path.anchor,
+            finish: path.finish,
+            steps: path.edges.len(),
+            ranks_touched: path.ranks_touched,
+            message_hops: path.message_hops,
+            wait_cycles: path.wait_cycles,
+        }
+    }
+}
+
 impl<'g> SlackSweep<'g> {
     /// Runs the forward/backward sweep over a recorded graph.
     pub fn sweep(graph: &'g EventGraph) -> Self {
@@ -183,6 +214,17 @@ impl<'g> SlackSweep<'g> {
             }
         }
 
+        // Start subevent of each node's (rank, seq), resolved once for the
+        // wait-interval and effective-cost loops below.
+        let start_of: Vec<NodeIdx> = (0..n_nodes as NodeIdx)
+            .map(|i| {
+                let id = arena.node_id(i);
+                arena
+                    .node_index(&NodeId::start(id.rank, id.seq))
+                    .unwrap_or(NO_NODE)
+            })
+            .collect();
+
         // -- Wait intervals & binding arms ----------------------------------
         // An incoming message arm is remote when its source is another
         // rank's node or a collective hub; an acknowledgement edge from the
@@ -214,24 +256,21 @@ impl<'g> SlackSweep<'g> {
                 binding[dst as usize] = e as u32;
             }
         }
-        for end in 0..n_nodes as NodeIdx {
-            if !has_arrival[end as usize] {
+        for end in 0..n_nodes {
+            let start = start_of[end];
+            if !has_arrival[end] || start == NO_NODE {
                 continue;
             }
-            let m = arrival[end as usize];
-            let end_id = arena.node_id(end);
-            let start = NodeId::start(end_id.rank, end_id.seq);
-            let Some(start_idx) = arena.node_index(&start) else {
-                continue;
-            };
-            if !(has_time[start_idx as usize] && has_time[end as usize]) {
+            let start = start as usize;
+            if !(has_time[start] && has_time[end]) {
                 continue;
             }
-            let (t_start, t_end) = (time[start_idx as usize], time[end as usize]);
+            let m = arrival[end];
+            let (t_start, t_end) = (time[start], time[end]);
             if m > t_end {
                 causality_clamps += 1;
             }
-            wait[end as usize] = m.saturating_sub(t_start).min(t_end - t_start);
+            wait[end] = m.saturating_sub(t_start).min(t_end - t_start);
         }
 
         // -- Effective edge costs -------------------------------------------
@@ -246,15 +285,13 @@ impl<'g> SlackSweep<'g> {
                     // Post-wait residue of the receiving op's window; the
                     // same for every arm, so tightness is decided by the
                     // arm's source time alone.
-                    let dst_id = arena.node_id(dst);
-                    let start = NodeId::start(dst_id.rank, dst_id.seq);
-                    let dur = match arena.node_index(&start) {
-                        Some(s) if has_time[s as usize] && has_time[dst as usize] => {
-                            time[dst as usize] - time[s as usize]
-                        }
-                        _ => 0,
+                    let (s, d) = (start_of[dst as usize], dst as usize);
+                    let dur = if s != NO_NODE && has_time[s as usize] && has_time[d] {
+                        time[d] - time[s as usize]
+                    } else {
+                        0
                     };
-                    dur.saturating_sub(wait[dst as usize])
+                    dur.saturating_sub(wait[d])
                 }
             } else {
                 let src_id = arena.node_id(src);
@@ -430,8 +467,11 @@ impl<'g> SlackSweep<'g> {
     /// edges.
     pub fn chain_from(&self, graph: &EventGraph, anchor: NodeId) -> StaticPath {
         let arena = graph.arena();
-        let incoming = arena.incoming();
-        let n_edges = arena.num_edges();
+        self.walk(arena, &arena.incoming(), anchor)
+    }
+
+    /// [`chain_from`](Self::chain_from) over a prebuilt incoming CSR.
+    fn walk(&self, arena: &GraphArena, incoming: &Csr, anchor: NodeId) -> StaticPath {
         let mut chain = Vec::new();
         let mut ranks = BTreeSet::new();
         let mut message_hops = 0usize;
@@ -439,62 +479,216 @@ impl<'g> SlackSweep<'g> {
         if !anchor.hub {
             ranks.insert(anchor.rank);
         }
-        let finish = self.earliest(anchor);
         let mut current = arena.node_index(&anchor);
-        while let Some(cur) = current {
-            let e_cur = self.earliest[cur as usize];
-            if e_cur == 0 {
-                break;
-            }
-            // Prefer the binding message arm when it is tight (it names
-            // the true cause of a wait); otherwise any tight arm, message
-            // edges first, later sources first — deterministic because the
-            // edge order is fixed.
-            let tight =
-                |i: usize| self.earliest[arena.edge_src(i) as usize] + self.cost[i] == e_cur;
-            let bound = self.binding[cur as usize];
-            let chosen = match bound {
-                b if b != NO_ARM && tight(b as usize) => Some(b as usize),
-                _ => incoming
-                    .of(cur)
-                    .iter()
-                    .map(|&i| i as usize)
-                    .filter(|&i| tight(i))
-                    .max_by_key(|&i| {
-                        (
-                            arena.edge_is_message(i),
-                            self.earliest[arena.edge_src(i) as usize],
-                            i,
-                        )
-                    }),
-            };
-            let Some(i) = chosen else {
-                break;
-            };
-            if arena.edge_is_message(i) {
-                message_hops += 1;
-            }
-            if bound == i as u32 {
-                wait_cycles += self.wait[cur as usize];
-            }
+        while let Some(i) = current.and_then(|cur| self.tight_arm(arena, incoming, cur)) {
+            message_hops += usize::from(arena.edge_is_message(i));
+            wait_cycles += self.absorbed_wait(arena, i);
             let src = arena.edge_src(i);
             if !arena.is_hub(src) {
                 ranks.insert(arena.node_id(src).rank);
             }
             chain.push(i);
             current = Some(src);
-            if chain.len() > n_edges {
+            if chain.len() > arena.num_edges() {
                 break; // defensive: a cycle would indicate a recording bug
             }
         }
         StaticPath {
             anchor,
-            finish,
+            finish: self.earliest(anchor),
             edges: chain,
             ranks_touched: ranks.len(),
             message_hops,
             wait_cycles,
         }
+    }
+
+    /// The arm a chain walk takes back out of node `cur`: the binding
+    /// message arm when it is tight (it names the true cause of a wait),
+    /// otherwise any tight arm, message edges first, later sources first —
+    /// deterministic because the edge order is fixed. `None` at time zero
+    /// or when no arm is tight.
+    fn tight_arm(&self, arena: &GraphArena, incoming: &Csr, cur: NodeIdx) -> Option<usize> {
+        let e_cur = self.earliest[cur as usize];
+        if e_cur == 0 {
+            return None;
+        }
+        let tight = |i: usize| self.earliest[arena.edge_src(i) as usize] + self.cost[i] == e_cur;
+        match self.binding[cur as usize] {
+            b if b != NO_ARM && tight(b as usize) => Some(b as usize),
+            _ => incoming
+                .of(cur)
+                .iter()
+                .map(|&i| i as usize)
+                .filter(|&i| tight(i))
+                .max_by_key(|&i| {
+                    (
+                        arena.edge_is_message(i),
+                        self.earliest[arena.edge_src(i) as usize],
+                        i,
+                    )
+                }),
+        }
+    }
+
+    /// Wait cycles a chain absorbs by taking edge `i` back out of its
+    /// sink: the sink's wait interval when `i` is its binding arm.
+    fn absorbed_wait(&self, arena: &GraphArena, i: usize) -> Cycles {
+        let dst = arena.edge_dst(i) as usize;
+        if self.binding[dst] == i as u32 {
+            self.wait[dst]
+        } else {
+            0
+        }
+    }
+
+    /// The chain table: the totals of [`chain_from`](Self::chain_from) for
+    /// every anchor, in anchor order, from one pass over one incoming CSR.
+    ///
+    /// Every node's arm is chosen once, in index order, so the arms form a
+    /// forest: a node's parent is its arm's source, and a chain is the
+    /// path from its anchor up to a root (a node with no arm). One DFS
+    /// down the forest carries steps, message hops and absorbed wait from
+    /// parent to child, and a per-rank counter of the ranks on the current
+    /// root path gives `ranks_touched` exactly, however long the suffix
+    /// chains share. The pass is O(nodes + edges), against one walk and
+    /// one CSR build per anchor. An anchor whose arms run into a cycle
+    /// (possible only in a damaged graph) is never reached from a root and
+    /// falls back to its own bounded walk.
+    pub fn chain_table(&self, graph: &EventGraph, anchors: &[NodeId]) -> Vec<ChainTotals> {
+        /// One forest node. `NO_NODE` ends the child and sibling lists.
+        #[derive(Clone, Copy)]
+        struct Link {
+            /// Owning rank; `NO_RANK` for a hub.
+            rank: u32,
+            /// Index into the anchor results, or `NO_NODE`.
+            slot: u32,
+            first_child: NodeIdx,
+            next_sibling: NodeIdx,
+            /// Whether the node has an arm, and whether it is a message edge.
+            has_arm: bool,
+            message: bool,
+            /// Wait the chain absorbs taking the node's arm.
+            wait: Cycles,
+        }
+        /// A DFS step: entering or leaving `node`, with the totals of its
+        /// parent (entering) or its own (leaving).
+        #[derive(Clone, Copy)]
+        struct Visit {
+            node: NodeIdx,
+            leaving: bool,
+            steps: usize,
+            message_hops: usize,
+            wait_cycles: Cycles,
+        }
+        const NO_RANK: u32 = u32::MAX;
+
+        let arena = graph.arena();
+        let incoming = arena.incoming();
+        let n = arena.num_nodes();
+        let mut forest = vec![
+            Link {
+                rank: NO_RANK,
+                slot: NO_NODE,
+                first_child: NO_NODE,
+                next_sibling: NO_NODE,
+                has_arm: false,
+                message: false,
+                wait: 0,
+            };
+            n
+        ];
+        let mut stack = Vec::new();
+        for v in 0..n as NodeIdx {
+            if !arena.is_hub(v) {
+                forest[v as usize].rank = arena.node_rank[v as usize];
+            }
+            let Some(e) = self.tight_arm(arena, &incoming, v) else {
+                stack.push(Visit {
+                    node: v,
+                    leaving: false,
+                    steps: 0,
+                    message_hops: 0,
+                    wait_cycles: 0,
+                });
+                continue;
+            };
+            let parent = arena.edge_src(e) as usize;
+            let sibling = std::mem::replace(&mut forest[parent].first_child, v);
+            let link = &mut forest[v as usize];
+            link.next_sibling = sibling;
+            link.has_arm = true;
+            link.message = arena.edge_is_message(e);
+            link.wait = self.absorbed_wait(arena, e);
+        }
+        // Repeated anchors share one result.
+        let mut found: Vec<Option<ChainTotals>> = Vec::new();
+        for anchor in anchors {
+            if let Some(a) = arena.node_index(anchor) {
+                if forest[a as usize].slot == NO_NODE {
+                    forest[a as usize].slot = found.len() as u32;
+                    found.push(None);
+                }
+            }
+        }
+
+        let mut on_path = vec![0u32; arena.num_ranks()];
+        let mut distinct = 0usize;
+        while let Some(mut visit) = stack.pop() {
+            let link = forest[visit.node as usize];
+            if visit.leaving {
+                if link.rank != NO_RANK {
+                    let count = &mut on_path[link.rank as usize];
+                    *count -= 1;
+                    distinct -= usize::from(*count == 0);
+                }
+                continue;
+            }
+            if link.rank != NO_RANK {
+                if link.rank as usize >= on_path.len() {
+                    on_path.resize(link.rank as usize + 1, 0);
+                }
+                let count = &mut on_path[link.rank as usize];
+                distinct += usize::from(*count == 0);
+                *count += 1;
+            }
+            visit.steps += usize::from(link.has_arm);
+            visit.message_hops += usize::from(link.message);
+            visit.wait_cycles += link.wait;
+            if link.slot != NO_NODE {
+                found[link.slot as usize] = Some(ChainTotals {
+                    anchor: arena.node_id(visit.node),
+                    finish: self.earliest[visit.node as usize],
+                    steps: visit.steps,
+                    ranks_touched: distinct,
+                    message_hops: visit.message_hops,
+                    wait_cycles: visit.wait_cycles,
+                });
+            }
+            // Leave the node only after every child subtree is done.
+            stack.push(Visit {
+                leaving: true,
+                ..visit
+            });
+            let mut child = link.first_child;
+            while child != NO_NODE {
+                stack.push(Visit {
+                    node: child,
+                    ..visit
+                });
+                child = forest[child as usize].next_sibling;
+            }
+        }
+
+        anchors
+            .iter()
+            .map(|anchor| {
+                arena
+                    .node_index(anchor)
+                    .and_then(|a| found[forest[a as usize].slot as usize])
+                    .unwrap_or_else(|| ChainTotals::from(&self.walk(arena, &incoming, *anchor)))
+            })
+            .collect()
     }
 }
 
@@ -766,6 +960,36 @@ mod tests {
         // message edge: send start -> recv end
         g.add_edge(e(NodeId::start(0, 2), NodeId::end(1, 1), 0, true));
         g
+    }
+
+    /// Arms that close a cycle (only a damaged graph has one): the chain
+    /// table falls back to the bounded per-anchor walk for the anchors the
+    /// cycle cuts off, shares repeated anchors, and still equals
+    /// `chain_from` everywhere.
+    #[test]
+    fn chain_table_falls_back_on_arm_cycles() {
+        let mut g = EventGraph::new(1);
+        let (s, a, b) = (NodeId::start(0, 0), NodeId::end(0, 1), NodeId::end(0, 2));
+        let e = |src, dst, base| Edge {
+            src,
+            dst,
+            base,
+            class: DeltaClass::None,
+            sampled: 0,
+            is_message: false,
+        };
+        g.add_edge(e(s, a, 5));
+        g.add_edge(e(a, b, 0));
+        g.add_edge(e(b, a, 0));
+        let sweep = SlackSweep::sweep(&g);
+        let anchors = [a, b, s, s, NodeId::end(0, 9)];
+        let walks: Vec<ChainTotals> = anchors
+            .iter()
+            .map(|&x| ChainTotals::from(&sweep.chain_from(&g, x)))
+            .collect();
+        assert_eq!(sweep.chain_table(&g, &anchors), walks);
+        // The walk from `a` circles until its cycle guard stops it.
+        assert_eq!(walks[0].steps, g.edge_count() + 1);
     }
 
     #[test]

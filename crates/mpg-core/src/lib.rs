@@ -88,8 +88,8 @@ pub use cache::{
 pub use cancel::{CancelReason, CancelToken, CHECK_INTERVAL};
 pub use critical::{critical_path, CriticalPath};
 pub use feasible::{
-    drift_slack, drift_slack_cancellable, predictable, predicted_graph, DriftSlack, SlackSweep,
-    StaticPath,
+    drift_slack, drift_slack_cancellable, predictable, predicted_graph, ChainTotals, DriftSlack,
+    SlackSweep, StaticPath,
 };
 pub use forced::{ForcedMatch, ForcedOutcome, MatchPlan};
 pub use graph::{Edge, EventGraph, NodeId, Point};

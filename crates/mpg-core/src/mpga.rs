@@ -39,14 +39,20 @@
 //! scribble on. Every failure mode maps to a typed [`MpgaError`] and the
 //! caller falls back to the cold path; a bad artifact can never produce a
 //! graph that differs from the cold one because endpoint indices, kind
-//! ids, flag/label consistency, and the checksum are all validated.
+//! ids, flag/label consistency, and the checksum are all validated, and
+//! every node identity must be unique and in range: its rank below the
+//! artifact's rank count, its seq below `u64::MAX` (a rank holds at most
+//! `u64::MAX` events, so no event has that index). Identities are
+//! re-interned through the arena's dense tables, whose growth is bounded
+//! by the node count, so no seq or rank value sizes an allocation.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use mpg_trace::frame::crc32c;
+use mpg_trace::Seq;
 
-use crate::arena::{GraphArena, FLAG_LABELED};
+use crate::arena::{GraphArena, Interner, FLAG_LABELED};
 use crate::perturb::DeltaClass;
 
 /// Magic bytes opening an MPGA artifact.
@@ -430,7 +436,7 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
         label_kind,
         label_t,
         labeled,
-        index: HashMap::with_capacity(nodes),
+        interner: Interner::default(),
         edge_src,
         edge_dst,
         edge_base,
@@ -440,7 +446,13 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
     };
     for i in 0..nodes {
         let id = arena.node_id(i as u32);
-        if arena.index.insert(id, i as u32).is_some() {
+        if u64::from(id.rank) >= ranks as u64 || id.seq == Seq::MAX {
+            return Err(MpgaError::Malformed(format!(
+                "node identity out of range (rank {}, seq {})",
+                id.rank, id.seq
+            )));
+        }
+        if arena.interner.get_or_insert(id, i as u32).is_some() {
             return Err(MpgaError::Malformed("duplicate node identity".into()));
         }
     }
@@ -450,6 +462,7 @@ pub fn decode_arena(bytes: &[u8]) -> Result<GraphArena, MpgaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::FLAG_END;
     use crate::graph::{Edge, NodeId};
 
     fn sample_arena() -> GraphArena {
@@ -522,6 +535,86 @@ mod tests {
         let a = GraphArena::new(0);
         let b = decode_arena(&encode_arena(&a)).unwrap();
         assert_same(&a, &b);
+    }
+
+    /// Hub nodes, seq gaps and seqs near `u64::MAX` round-trip, and the
+    /// decoder's interner tables stay sized by the node count.
+    #[test]
+    fn odd_identities_roundtrip() {
+        let mut a = GraphArena::new(2);
+        let mut prev: Option<NodeId> = None;
+        for seq in [0, 1, 2, 900, 901, 1 << 40, u64::MAX - 1] {
+            for rank in 0..2 {
+                for n in [
+                    NodeId::start(rank, seq),
+                    NodeId::end(rank, seq),
+                    NodeId::hub(rank, seq),
+                ] {
+                    if let Some(src) = prev {
+                        a.push_edge(Edge {
+                            src,
+                            dst: n,
+                            base: 1,
+                            class: DeltaClass::None,
+                            sampled: 0,
+                            is_message: false,
+                        });
+                    }
+                    a.label(n, "compute", seq % 1_000);
+                    prev = Some(n);
+                }
+            }
+        }
+        let bytes = encode_arena(&a);
+        let b = decode_arena(&bytes).unwrap();
+        assert_same(&a, &b);
+        assert_eq!(encode_arena(&b), bytes);
+        assert!(b.interner.dense_words() < 8 * b.num_nodes());
+    }
+
+    /// Decodes [`sample_arena`] after `edit` rewrote its columns: the
+    /// encoder writes columns as they are, so this crafts a well-sealed
+    /// artifact with arbitrary node identities.
+    fn crafted(edit: impl FnOnce(&mut GraphArena)) -> Result<GraphArena, MpgaError> {
+        let mut a = sample_arena();
+        edit(&mut a);
+        decode_arena(&encode_arena(&a))
+    }
+
+    #[test]
+    fn bad_identities_are_typed_errors() {
+        let duplicate = Some(MpgaError::Malformed("duplicate node identity".into()));
+        // Node 1 is end(0, 0); clearing its end flag repeats node 0.
+        assert_eq!(crafted(|a| a.node_flags[1] &= !FLAG_END).err(), duplicate);
+        // The same duplicate far outside the dense tables.
+        let far = |a: &mut GraphArena| {
+            a.node_seq[0] = 1 << 60;
+            a.node_seq[1] = 1 << 60;
+            a.node_flags[1] &= !FLAG_END;
+        };
+        assert_eq!(crafted(far).err(), duplicate);
+        for edit in [
+            (|a: &mut GraphArena| a.node_seq[2] = u64::MAX) as fn(&mut GraphArena),
+            |a| a.node_rank[3] = 3,
+            |a| a.node_rank[0] = u32::MAX,
+        ] {
+            match crafted(edit) {
+                Err(MpgaError::Malformed(m)) => assert!(m.contains("out of range"), "{m}"),
+                other => panic!("out-of-range identity decoded: {other:?}"),
+            }
+        }
+        // Huge but distinct seqs are legal: they decode through the
+        // overflow map, with no table sized by them.
+        let huge = crafted(|a| {
+            for (i, s) in a.node_seq.iter_mut().enumerate() {
+                *s = (1 << 60) + i as u64;
+            }
+        })
+        .unwrap();
+        assert!(huge.interner.dense_words() < 8 * huge.num_nodes());
+        for i in 0..huge.num_nodes() as u32 {
+            assert_eq!(huge.node_index(&huge.node_id(i)), Some(i));
+        }
     }
 
     #[test]

@@ -17,13 +17,19 @@
 //!    (structure, classes *and* sampled deltas), so the predicted critical
 //!    path equals the replayed one; and every edge on the replayed binding
 //!    chain has zero drift-slack.
+//! 4. **Chain table** — the one-pass chain table (`SlackSweep::chain_table`
+//!    and `mpg_lint::rank_chains` on top of it) equals independent
+//!    per-anchor [`SlackSweep::chain_from`] walks, field for field and in
+//!    the same order, including `ranks_touched` where chains share long
+//!    suffixes and revisit ranks.
 
 use std::collections::HashMap;
 
 use mpg_core::{
-    critical_path, drift_slack, predicted_graph, Cycles, EventGraph, NodeId, PerturbationModel,
-    Point, ReplayConfig, Replayer, SlackSweep,
+    critical_path, drift_slack, predicted_graph, ChainTotals, Cycles, EventGraph, NodeId,
+    PerturbationModel, Point, ReplayConfig, Replayer, SlackSweep,
 };
+use mpg_lint::{rank_chains, ChainSummary};
 use mpg_noise::{Dist, PlatformSignature};
 use mpg_sim::RankCtx;
 use proptest::prelude::*;
@@ -109,14 +115,19 @@ fn round_strategy() -> impl Strategy<Value = Round> {
 /// Simulates a random program on ideal clocks and quiet-replays it into a
 /// recorded event graph.
 fn record(p: u32, sim_seed: u64, rounds: &[Round]) -> EventGraph {
+    record_program(p, sim_seed, |ctx| {
+        for round in rounds {
+            run_round(ctx, round);
+        }
+    })
+}
+
+/// [`record`] for an arbitrary per-rank program.
+fn record_program(p: u32, sim_seed: u64, program: impl Fn(&mut RankCtx) + Sync) -> EventGraph {
     let trace = mpg_sim::Simulation::new(p, PlatformSignature::quiet("prop"))
         .ideal_clocks()
         .seed(sim_seed)
-        .run(|ctx| {
-            for round in rounds {
-                run_round(ctx, round);
-            }
-        })
+        .run(program)
         .expect("generated program simulates")
         .trace;
     Replayer::new(
@@ -144,6 +155,47 @@ fn final_ends(graph: &EventGraph) -> Vec<NodeId> {
         }
     }
     finals.into_values().collect()
+}
+
+/// The chain-table oracle: one independent [`SlackSweep::chain_from`] walk
+/// per rank's final end subevent, summarized and sorted the way
+/// [`rank_chains`] documents (finish descending, then rank).
+fn rank_chains_oracle(graph: &EventGraph, sweep: &SlackSweep) -> Vec<ChainSummary> {
+    let mut chains: Vec<ChainSummary> = final_ends(graph)
+        .into_iter()
+        .map(|anchor| {
+            let path = sweep.chain_from(graph, anchor);
+            ChainSummary {
+                rank: anchor.rank,
+                finish: path.finish,
+                steps: path.edges.len(),
+                message_hops: path.message_hops,
+                ranks_touched: path.ranks_touched,
+                wait_cycles: path.wait_cycles,
+            }
+        })
+        .collect();
+    chains.sort_by(|a, b| b.finish.cmp(&a.finish).then_with(|| a.rank.cmp(&b.rank)));
+    chains
+}
+
+/// Every labeled node as an anchor, in graph order: start nodes, interior
+/// end nodes and ends whose chains merge early, so the table's forest is
+/// far denser than with one anchor per rank.
+fn all_anchor_table_matches_walks(graph: &EventGraph, sweep: &SlackSweep) -> Result<(), String> {
+    let anchors: Vec<NodeId> = graph.nodes().map(|(n, _)| n).collect();
+    let table = sweep.chain_table(graph, &anchors);
+    let walks: Vec<ChainTotals> = anchors
+        .iter()
+        .map(|&a| ChainTotals::from(&sweep.chain_from(graph, a)))
+        .collect();
+    if table == walks {
+        Ok(())
+    } else {
+        Err(format!(
+            "chain table {table:?}\n!= per-anchor walks {walks:?}"
+        ))
+    }
 }
 
 /// Independent forward sweep with one edge's cost inflated by `extra`.
@@ -206,6 +258,23 @@ proptest! {
                 "edge {} slack {} must be maximal",
                 i, sl
             );
+        }
+    }
+
+    /// Property 4: the one-pass chain table equals independent per-anchor
+    /// walks — `rank_chains` field for field and in order, and the raw
+    /// table for every labeled node as an anchor.
+    #[test]
+    fn chain_table_matches_per_anchor_walks(
+        p in 2u32..9,
+        sim_seed in 0u64..1_000,
+        rounds in prop::collection::vec(round_strategy(), 1..9),
+    ) {
+        let graph = record(p, sim_seed, &rounds);
+        let sweep = SlackSweep::sweep(&graph);
+        prop_assert_eq!(rank_chains(&graph, &sweep), rank_chains_oracle(&graph, &sweep));
+        if let Err(msg) = all_anchor_table_matches_walks(&graph, &sweep) {
+            prop_assert!(false, "{}", msg);
         }
     }
 
@@ -294,4 +363,53 @@ proptest! {
             }
         }
     }
+}
+
+/// A blocking token ring: the token laps the ring several times, so every
+/// rank's final chain runs back through the same long suffix of hops and
+/// passes through each rank more than once. Memoising `steps` down the
+/// shared suffix is then essential, and an additive `ranks_touched` would
+/// count every rank once per lap.
+#[test]
+fn token_ring_chains_share_suffixes_and_revisit_ranks() {
+    const P: u32 = 6;
+    const LAPS: u32 = 4;
+    let graph = record_program(P, 3, |ctx| {
+        let (me, p) = (ctx.rank(), ctx.size());
+        for _ in 0..LAPS {
+            if me == 0 {
+                ctx.compute(5_000);
+                ctx.send(1, 0, 64);
+                ctx.recv(p - 1, 0);
+            } else {
+                ctx.recv(me - 1, 0);
+                ctx.compute(5_000);
+                ctx.send((me + 1) % p, 0, 64);
+            }
+        }
+    });
+    let sweep = SlackSweep::sweep(&graph);
+    let chains = rank_chains(&graph, &sweep);
+    assert_eq!(chains, rank_chains_oracle(&graph, &sweep));
+    all_anchor_table_matches_walks(&graph, &sweep).unwrap();
+
+    assert_eq!(chains.len(), P as usize);
+    for c in &chains {
+        // Every chain laps the ring: it touches each rank, but through
+        // more hops than there are ranks.
+        assert_eq!(c.ranks_touched, P as usize, "{c:?}");
+        assert!(c.message_hops > P as usize, "{c:?}");
+    }
+    // The chains overlap: their steps sum to more than the distinct edges
+    // they cover, so the table really shares suffixes.
+    let mut covered = std::collections::BTreeSet::new();
+    for anchor in final_ends(&graph) {
+        covered.extend(sweep.chain_from(&graph, anchor).edges);
+    }
+    let total: usize = chains.iter().map(|c| c.steps).sum();
+    assert!(
+        total > 2 * covered.len(),
+        "steps {total}, distinct {}",
+        covered.len()
+    );
 }

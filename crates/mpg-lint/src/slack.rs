@@ -39,9 +39,10 @@ pub struct ChainSummary {
     pub wait_cycles: Cycles,
 }
 
-/// Walks one tight chain back from each rank's final end subevent and
-/// returns the summaries sorted by finish time, longest first — so index
-/// 0 describes the static critical path of the whole run.
+/// The chain table: one tight chain back from each rank's final end
+/// subevent, all computed in one pass ([`SlackSweep::chain_table`]), and
+/// returned sorted by finish time, longest first — so index 0 describes
+/// the static critical path of the whole run.
 pub fn rank_chains(graph: &EventGraph, sweep: &SlackSweep) -> Vec<ChainSummary> {
     let mut anchors: Vec<Option<NodeId>> = vec![None; graph.num_ranks()];
     for (node, _) in graph.nodes() {
@@ -53,19 +54,17 @@ pub fn rank_chains(graph: &EventGraph, sweep: &SlackSweep) -> Vec<ChainSummary> 
             *slot = Some(node);
         }
     }
-    let mut chains: Vec<ChainSummary> = anchors
+    let anchors: Vec<NodeId> = anchors.into_iter().flatten().collect();
+    let mut chains: Vec<ChainSummary> = sweep
+        .chain_table(graph, &anchors)
         .into_iter()
-        .flatten()
-        .map(|anchor| {
-            let path = sweep.chain_from(graph, anchor);
-            ChainSummary {
-                rank: anchor.rank,
-                finish: path.finish,
-                steps: path.edges.len(),
-                message_hops: path.message_hops,
-                ranks_touched: path.ranks_touched,
-                wait_cycles: path.wait_cycles,
-            }
+        .map(|c| ChainSummary {
+            rank: c.anchor.rank,
+            finish: c.finish,
+            steps: c.steps,
+            message_hops: c.message_hops,
+            ranks_touched: c.ranks_touched,
+            wait_cycles: c.wait_cycles,
         })
         .collect();
     chains.sort_by(|a, b| b.finish.cmp(&a.finish).then_with(|| a.rank.cmp(&b.rank)));

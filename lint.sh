@@ -14,6 +14,12 @@ cargo fmt --all -- --check
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+# Every crate's tests: goldens, proptests, the mpg-serve suite and the
+# cache byte-identity tests (tier-1 `cargo test` runs only the root
+# package's).
+echo "==> cargo test --workspace"
+cargo test --workspace -q
+
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
