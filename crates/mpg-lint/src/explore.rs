@@ -13,7 +13,8 @@
 //!   alternate-schedule deadlocks hide: force the wildcard anyway and
 //!   the pinned receive starves.
 //! * **Exploration.** Each frontier entry is a [`MatchPlan`]; it is
-//!   re-replayed through the shared [`forced_replay`] path and
+//!   replayed by forking the recorded prefix ([`Forker`], field-for-field
+//!   the from-scratch [`forced_replay`](crate::forced_replay)) and
 //!   classified. A completed alternate is branched further: new
 //!   candidates are enumerated *on the alternate matching* and appended,
 //!   up to the depth bound.
@@ -43,7 +44,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::hb_races::wildcard_candidates;
-use crate::progress::{forced_replay, Matching};
+use crate::progress::{Forker, Matching};
 use crate::LintContext;
 use mpg_core::forced::{ForcedOutcome, MatchPlan};
 use mpg_core::{CancelReason, CancelToken};
@@ -182,7 +183,7 @@ pub enum ExploreFindingKind {
 
 /// One witness-validated explorer finding: the forced-match plan plus
 /// what re-replaying it does. Feeding `plan` back through
-/// [`forced_replay`] reproduces the claim independently.
+/// [`forced_replay`](crate::forced_replay) reproduces the claim independently.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExploreFinding {
     /// The forced-match sequence (re-replayable).
@@ -254,6 +255,8 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
     let base = matching_makespan(trace, &ctx.progress.matching);
     let stats = &mut report.stats;
 
+    // Built on the first replay, so an empty frontier costs nothing.
+    let mut forker: Option<Forker<'_>> = None;
     // Sleep set: canonical keys of every plan ever scheduled.
     let mut sleep: HashSet<String> = HashSet::new();
     let mut frontier: VecDeque<(MatchPlan, usize)> = VecDeque::new();
@@ -290,7 +293,9 @@ pub fn explore(ctx: &LintContext<'_>, opts: &ExploreOptions) -> ExploreReport {
         stats.explored += 1;
         stats.max_depth = stats.max_depth.max(depth as u64);
         let seed_recv = plan.forced()[0].recv;
-        let rep = forced_replay(trace, &plan);
+        let rep = forker
+            .get_or_insert_with(|| Forker::new(trace))
+            .replay(&plan);
         match rep.outcome {
             ForcedOutcome::Deadlocked => {
                 // Tarjan already named the cycle; take the first cycle's
@@ -517,10 +522,12 @@ pub fn lint_explore_with(
         (None, None) => (LintContext::build(trace), None),
     };
     let report = explore(&ctx, opts);
-    let mut diags = crate::lint_over_context(diags, ctx);
+    let (mut diags, pass_cancelled) = crate::lint_over_context(diags, ctx, opts.cancel.as_ref());
     diags.extend(report.diags());
     sort_diagnostics(&mut diags);
-    let cancelled = build_cancelled.or(report.stats.cancelled);
+    let cancelled = build_cancelled
+        .or(report.stats.cancelled)
+        .or(pass_cancelled);
     ExploreOutcome {
         diags,
         findings: report.findings,

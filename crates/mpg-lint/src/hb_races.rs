@@ -18,11 +18,12 @@
 //! `S`'s source, swapping the two messages). Only candidates whose forced
 //! schedule runs every rank to completion are reported, so each
 //! `MPG-WILD-RACE` diagnostic carries a concrete, replayable alternate
-//! match — never a hypothetical one.
+//! match — never a hypothetical one. The witness replays fork from one
+//! shared recorded prefix ([`Forker`]), in fork-point order.
 
-use crate::progress::{forced_replay, MatchPair, Matching};
+use crate::progress::{forced_replay, Forker, MatchPair, Matching};
 use mpg_core::forced::MatchPlan;
-use mpg_core::HbIndex;
+use mpg_core::{CancelReason, CancelToken, HbIndex, CHECK_INTERVAL};
 use mpg_trace::{Diagnostic, EventKind, MemTrace, Rank, Rule, Seq, ANY_TAG};
 use std::collections::{BTreeMap, HashMap};
 
@@ -72,15 +73,16 @@ pub fn witness_plan(w: &RaceWitness) -> MatchPlan {
 /// is infeasible.
 pub fn witness_matching(trace: &MemTrace, w: &RaceWitness) -> Option<Matching> {
     let rep = forced_replay(trace, &witness_plan(w));
-    let m = rep.matching;
-    if !m.completed {
-        return None;
-    }
-    let took_alternate = m
-        .pairs
-        .iter()
-        .any(|p| p.recv == w.recv && p.send.0 == w.alternate.0);
-    took_alternate.then_some(m)
+    witness_holds(w, &rep.matching).then_some(rep.matching)
+}
+
+/// Did the forced schedule complete with the racy receive on the
+/// alternate source?
+fn witness_holds(w: &RaceWitness, m: &Matching) -> bool {
+    m.completed
+        && m.pairs
+            .iter()
+            .any(|p| p.recv == w.recv && p.send.0 == w.alternate.0)
 }
 
 /// The receive's *posted* tag pattern (traces record the matched tag for
@@ -162,27 +164,87 @@ pub(crate) fn wildcard_candidates(
 
 /// Finds every wildcard receive with a validated concurrent alternate.
 pub fn find_races(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<RaceFinding> {
-    let mut findings = Vec::new();
-    for (pair, candidates) in wildcard_candidates(trace, matching, hb, false) {
-        let witnesses: Vec<RaceWitness> = candidates
-            .into_iter()
-            .filter(|w| witness_matching(trace, w).is_some())
-            .collect();
-        if !witnesses.is_empty() {
-            findings.push(RaceFinding {
+    find_races_cancellable(trace, matching, hb, None).expect("no token to fire")
+}
+
+/// [`find_races`] under an optional [`CancelToken`]. Witnesses are
+/// validated in fork-point order through one [`Forker`], so the whole
+/// pass costs about one progress simulation plus a suffix per witness.
+/// The token is polled between groups of witnesses that share a fork
+/// point, once per [`CHECK_INTERVAL`] simulated events; a fired token
+/// returns its reason and no findings at all, never a partial list.
+pub(crate) fn find_races_cancellable(
+    trace: &MemTrace,
+    matching: &Matching,
+    hb: &HbIndex,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<RaceFinding>, CancelReason> {
+    let groups = wildcard_candidates(trace, matching, hb, false);
+    let plans: Vec<(usize, usize, MatchPlan)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, (_, ws))| {
+            ws.iter()
+                .enumerate()
+                .map(move |(i, w)| (g, i, witness_plan(w)))
+        })
+        .collect();
+    if plans.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut forker = Forker::new(trace);
+    // Plans whose receives are never offered replay the whole recorded
+    // run, so they go last.
+    let mut order: Vec<(usize, usize)> = plans
+        .iter()
+        .enumerate()
+        .map(|(k, (_, _, plan))| (forker.fork_point(plan).unwrap_or(usize::MAX), k))
+        .collect();
+    order.sort_unstable();
+    let mut holds: Vec<Vec<bool>> = groups.iter().map(|(_, ws)| vec![false; ws.len()]).collect();
+    let mut group_fork = None;
+    let mut polled_at = None;
+    for (fork, k) in order {
+        let group_start = group_fork != Some(fork);
+        group_fork = Some(fork);
+        let due = polled_at.is_none_or(|at| forker.steps() - at >= CHECK_INTERVAL);
+        if group_start && due {
+            polled_at = Some(forker.steps());
+            if let Some(reason) = cancel.and_then(CancelToken::fired) {
+                return Err(reason);
+            }
+        }
+        let (g, i, plan) = &plans[k];
+        let w = &groups[*g].1[*i];
+        holds[*g][*i] = witness_holds(w, &forker.replay(plan).matching);
+    }
+    Ok(groups
+        .into_iter()
+        .zip(holds)
+        .filter_map(|((pair, candidates), holds)| {
+            let witnesses: Vec<RaceWitness> = candidates
+                .into_iter()
+                .zip(holds)
+                .filter_map(|(w, ok)| ok.then_some(w))
+                .collect();
+            (!witnesses.is_empty()).then_some(RaceFinding {
                 recv: pair.recv,
                 matched: pair.send,
                 tag: pair.tag,
                 witnesses,
-            });
-        }
-    }
-    findings
+            })
+        })
+        .collect())
 }
 
 /// Pass 4 entry point: renders [`find_races`] as diagnostics.
 pub fn lint_races(trace: &MemTrace, matching: &Matching, hb: &HbIndex) -> Vec<Diagnostic> {
-    find_races(trace, matching, hb)
+    race_diags(find_races(trace, matching, hb))
+}
+
+/// Renders race findings as `MPG-WILD-RACE` diagnostics.
+pub(crate) fn race_diags(findings: Vec<RaceFinding>) -> Vec<Diagnostic> {
+    findings
         .into_iter()
         .map(|f| {
             let alts = f

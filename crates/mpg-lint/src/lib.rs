@@ -73,8 +73,8 @@ pub use hb_races::{
     find_races, lint_races, witness_matching, witness_plan, RaceFinding, RaceWitness,
 };
 pub use progress::{
-    forced_replay, lint_progress, run_progress, ForcedReplay, MatchPair, MatchPolicy, Matching,
-    ProgressOutcome, SendRec,
+    forced_replay, lint_progress, run_progress, ForcedReplay, Forker, MatchPair, MatchPolicy,
+    Matching, ProgressOutcome, SendRec,
 };
 pub use slack::{lint_chains, rank_chains, ChainSummary};
 pub use sync::{lint_sync, SyncOptions};
@@ -294,8 +294,9 @@ pub struct LintPass {
     pub name: &'static str,
     /// Artifacts the pass reads.
     pub needs: Needs,
-    /// Runs the pass over the shared context.
-    pub run: fn(&LintContext<'_>) -> Vec<Diagnostic>,
+    /// Runs the pass over the shared context. A long pass polls the
+    /// optional token and returns its reason when it fires.
+    pub run: fn(&LintContext<'_>, Option<&CancelToken>) -> Result<Vec<Diagnostic>, CancelReason>,
 }
 
 /// The graph-era passes [`lint_full`] schedules over one [`LintContext`].
@@ -306,46 +307,48 @@ pub const PASSES: &[LintPass] = &[
     LintPass {
         name: "progress",
         needs: Needs::PROGRESS,
-        run: |ctx| ctx.progress.diags.clone(),
+        run: |ctx, _| Ok(ctx.progress.diags.clone()),
     },
     LintPass {
         name: "causality",
         needs: Needs::GRAPH,
-        run: |ctx| lint_graph(ctx.graph.as_ref().expect("needs GRAPH")),
+        run: |ctx, _| Ok(lint_graph(ctx.graph.as_ref().expect("needs GRAPH"))),
     },
     LintPass {
         name: "race",
         needs: Needs::PROGRESS.and(Needs::HB),
-        run: |ctx| {
-            lint_races(
+        run: |ctx, cancel| {
+            hb_races::find_races_cancellable(
                 ctx.trace,
                 &ctx.progress.matching,
                 ctx.hb.as_ref().expect("needs HB"),
+                cancel,
             )
+            .map(hb_races::race_diags)
         },
     },
     LintPass {
         name: "perf",
         needs: Needs::GRAPH,
-        run: |ctx| {
-            lint_perf(
+        run: |ctx, _| {
+            Ok(lint_perf(
                 ctx.trace,
                 ctx.graph.as_ref().expect("needs GRAPH"),
                 &PerfThresholds::default(),
-            )
+            ))
         },
     },
     LintPass {
         name: "sync",
         needs: Needs::PROGRESS.and(Needs::GRAPH).and(Needs::HB),
-        run: |ctx| {
-            lint_sync(
+        run: |ctx, _| {
+            Ok(lint_sync(
                 ctx.trace,
                 ctx.graph.as_ref().expect("needs GRAPH"),
                 ctx.hb.as_ref().expect("needs HB"),
                 &ctx.progress.matching,
                 &SyncOptions::default(),
-            )
+            ))
         },
     },
     // Pass 8 ships with a zero budget: registered (so the ruleset
@@ -355,7 +358,7 @@ pub const PASSES: &[LintPass] = &[
     LintPass {
         name: "explore",
         needs: Needs::PROGRESS.and(Needs::HB),
-        run: |ctx| explore::explore(ctx, &ExploreOptions::default()).diags(),
+        run: |ctx, _| Ok(explore::explore(ctx, &ExploreOptions::default()).diags()),
     },
 ];
 
@@ -386,9 +389,9 @@ pub fn lint_full_cached(trace: &MemTrace, store: &CacheStore, trace_key: &str) -
 /// `cancelled: Some(_)` means the run was cut short: `diags` still carries
 /// everything computed before the cut — validation plus, when the progress
 /// simulation finished, the progress-pass findings — but the graph-backed
-/// passes (3, 4, 6, 7) were skipped. The rule set is deliberately *not*
-/// extended with a "cancelled" diagnostic: a cut-short lint is an incomplete
-/// answer, not a defect in the trace.
+/// passes (3, 4, 6, 7) were skipped or their results dropped. The rule set
+/// is deliberately *not* extended with a "cancelled" diagnostic: a
+/// cut-short lint is an incomplete answer, not a defect in the trace.
 #[derive(Debug, Clone)]
 pub struct LintOutcome {
     /// Diagnostics found before the cut (sorted worst first).
@@ -398,9 +401,10 @@ pub struct LintOutcome {
 }
 
 /// [`lint_full`] under a [`CancelToken`]: deadline- and cancel-aware for
-/// supervised (service) runs. A fired token degrades the output to the
-/// salvage path — validation and progress findings only — rather than
-/// erroring; see [`LintOutcome`].
+/// supervised (service) runs. The token is polled while the context is
+/// built and by the race pass's witness replays. A fired token degrades
+/// the output to the salvage path — validation and progress findings
+/// only — rather than erroring; see [`LintOutcome`].
 pub fn lint_full_cancellable(trace: &MemTrace, cancel: &CancelToken) -> LintOutcome {
     let mut diags = mpg_trace::validate_trace_diagnostics(trace);
     if diags.iter().any(|d| d.severity == Severity::Error) {
@@ -410,9 +414,12 @@ pub fn lint_full_cancellable(trace: &MemTrace, cancel: &CancelToken) -> LintOutc
             cancelled: None,
         };
     }
-    let (ctx, cancelled) = LintContext::build_cancellable(trace, cancel);
-    let diags = lint_over_context(diags, ctx);
-    LintOutcome { diags, cancelled }
+    let (ctx, build_cancelled) = LintContext::build_cancellable(trace, cancel);
+    let (diags, pass_cancelled) = lint_over_context(diags, ctx, Some(cancel));
+    LintOutcome {
+        diags,
+        cancelled: build_cancelled.or(pass_cancelled),
+    }
 }
 
 fn lint_full_impl(trace: &MemTrace, cache: Option<(&CacheStore, &str)>) -> Vec<Diagnostic> {
@@ -425,13 +432,19 @@ fn lint_full_impl(trace: &MemTrace, cache: Option<(&CacheStore, &str)>) -> Vec<D
         Some((store, trace_key)) => LintContext::build_cached(trace, store, trace_key),
         None => LintContext::build(trace),
     };
-    lint_over_context(diags, ctx)
+    lint_over_context(diags, ctx, None).0
 }
 
 /// Shared back half of [`lint_full_impl`] and [`lint_full_cancellable`]:
 /// progress-error short-circuit, graph-stitch reporting, then the parallel
-/// pass schedule over whatever artifacts the context has.
-fn lint_over_context(mut diags: Vec<Diagnostic>, ctx: LintContext<'_>) -> Vec<Diagnostic> {
+/// pass schedule over whatever artifacts the context has. When `cancel`
+/// fires inside a pass, every pass result is dropped and the salvage
+/// shape (validation plus progress findings) comes back with the reason.
+fn lint_over_context(
+    mut diags: Vec<Diagnostic>,
+    ctx: LintContext<'_>,
+    cancel: Option<&CancelToken>,
+) -> (Vec<Diagnostic>, Option<CancelReason>) {
     let progress_errors = ctx
         .progress
         .diags
@@ -440,7 +453,7 @@ fn lint_over_context(mut diags: Vec<Diagnostic>, ctx: LintContext<'_>) -> Vec<Di
     if progress_errors {
         diags.extend(ctx.progress.diags);
         sort_diagnostics(&mut diags);
-        return diags;
+        return (diags, None);
     }
     let available = ctx.available();
     if let Some(e) = &ctx.graph_error {
@@ -453,18 +466,25 @@ fn lint_over_context(mut diags: Vec<Diagnostic>, ctx: LintContext<'_>) -> Vec<Di
         let handles: Vec<_> = PASSES
             .iter()
             .filter(|pass| available.includes(pass.needs))
-            .map(|pass| scope.spawn(|| (pass.run)(&ctx)))
+            .map(|pass| scope.spawn(|| (pass.run)(&ctx, cancel)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("lint pass panicked"))
-            .collect::<Vec<_>>()
+            .collect::<Result<Vec<_>, CancelReason>>()
     });
-    for r in results {
-        diags.extend(r);
-    }
+    let cancelled = match results {
+        Ok(results) => {
+            diags.extend(results.into_iter().flatten());
+            None
+        }
+        Err(reason) => {
+            diags.extend(ctx.progress.diags);
+            Some(reason)
+        }
+    };
     sort_diagnostics(&mut diags);
-    diags
+    (diags, cancelled)
 }
 
 /// Lints a trace recovered by the salvage reader
@@ -610,6 +630,64 @@ mod tests {
         let fired = CancelToken::new();
         fired.cancel();
         let out = lint_full_cancellable(&mt, &fired);
+        assert_eq!(out.cancelled, Some(CancelReason::Cancelled));
+        assert_eq!(out.diags, lint_trace(&mt));
+    }
+
+    /// Four ranks; rank 0 drains three wildcard receives, so the race
+    /// pass has witnesses to replay.
+    fn gather_any_trace() -> MemTrace {
+        mpg_sim::Simulation::new(4, mpg_noise::PlatformSignature::quiet("cancel-race"))
+            .ideal_clocks()
+            .seed(3)
+            .run(|ctx| {
+                if ctx.rank() == 0 {
+                    for _ in 1..4 {
+                        ctx.recv(mpg_trace::ANY_SOURCE, 0);
+                    }
+                } else {
+                    ctx.send(0, 0, 64);
+                }
+            })
+            .expect("gather simulates")
+            .trace
+    }
+
+    #[test]
+    fn token_firing_inside_the_race_pass_degrades_to_salvage() {
+        let mt = gather_any_trace();
+        let full = lint_full(&mt);
+        assert!(full.iter().any(|d| d.rule == Rule::WildRace), "{full:?}");
+        // Polls the context build makes on its own.
+        let probe = CancelToken::new();
+        let (_ctx, cut) = LintContext::build_cancellable(&mt, &probe);
+        assert!(cut.is_none());
+        let build_polls = probe.checks();
+        // A live token sees the build's polls plus the race pass's.
+        let live = CancelToken::new();
+        let out = lint_full_cancellable(&mt, &live);
+        assert!(out.cancelled.is_none());
+        assert_eq!(out.diags, full);
+        assert!(live.checks() > build_polls, "the race pass must poll");
+        // Fire on the first poll after the build: inside the witness loop.
+        let token = CancelToken::new();
+        token.fire_after_checks(build_polls + 1);
+        let out = lint_full_cancellable(&mt, &token);
+        assert_eq!(out.cancelled, Some(CancelReason::Cancelled));
+        assert_eq!(token.checks(), build_polls + 1);
+        assert_eq!(
+            out.diags,
+            lint_trace(&mt),
+            "salvage shape, no partial race list"
+        );
+        // The explore verb carries the same token into the pass manager.
+        let token = CancelToken::new();
+        token.fire_after_checks(build_polls + 1);
+        let opts = ExploreOptions {
+            cancel: Some(token),
+            ..ExploreOptions::default()
+        };
+        let out = lint_explore(&mt, &opts);
         assert_eq!(out.cancelled, Some(CancelReason::Cancelled));
         assert_eq!(out.diags, lint_trace(&mt));
     }

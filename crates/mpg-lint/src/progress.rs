@@ -23,7 +23,8 @@
 //! `sync`) consume. A [`MatchPolicy`] can force chosen wildcard receives
 //! onto alternate sources: re-running under such a policy and checking
 //! [`Matching::completed`] is how a race witness is validated as a real
-//! alternate schedule.
+//! alternate schedule. [`Forker`] runs many such replays off one shared
+//! recorded prefix.
 //!
 //! Matching reuses the simulator's [`EnvelopeMatcher`] so the lint passes
 //! and the runtime share one implementation of the non-overtaking,
@@ -31,6 +32,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::rc::Rc;
 
 use crate::envelope::{LintRecv, LintSend};
 use mpg_core::forced::{ForcedOutcome, MatchPlan};
@@ -133,9 +135,8 @@ pub fn run_progress(trace: &MemTrace, policy: &MatchPolicy) -> ProgressOutcome {
     if trace.num_ranks() == 0 {
         return ProgressOutcome::default();
     }
-    let mut sim = Sim::new(trace, policy);
-    sim.prescan();
-    sim.run();
+    let mut sim = Sim::new(Rc::new(Prep::new(trace)), policy.clone());
+    sim.run_until(None);
     sim.finish()
 }
 
@@ -154,23 +155,124 @@ pub struct ForcedReplay {
     pub diags: Vec<Diagnostic>,
 }
 
-/// The single forced-replay code path: re-executes the trace under
-/// `plan` and classifies what happened. Pass 4's witness validation and
-/// the pass-8 explorer both go through here, so a forced-match sequence
-/// printed by any finding re-replays identically everywhere.
+impl ForcedReplay {
+    fn classify(out: ProgressOutcome) -> Self {
+        let outcome = if out.matching.completed {
+            ForcedOutcome::Completed
+        } else if out.diags.iter().any(|d| d.rule == Rule::Deadlock) {
+            ForcedOutcome::Deadlocked
+        } else {
+            ForcedOutcome::Stuck
+        };
+        ForcedReplay {
+            outcome,
+            matching: out.matching,
+            diags: out.diags,
+        }
+    }
+}
+
+/// The single forced-replay contract: re-executes the trace under `plan`
+/// from scratch and classifies what happened. Pass 4's witness
+/// validation and the pass-8 explorer get the same answer through
+/// [`Forker`], so a forced-match sequence printed by any finding
+/// re-replays identically here.
 pub fn forced_replay(trace: &MemTrace, plan: &MatchPlan) -> ForcedReplay {
-    let out = run_progress(trace, &MatchPolicy::Witness(plan.clone()));
-    let outcome = if out.matching.completed {
-        ForcedOutcome::Completed
-    } else if out.diags.iter().any(|d| d.rule == Rule::Deadlock) {
-        ForcedOutcome::Deadlocked
-    } else {
-        ForcedOutcome::Stuck
-    };
-    ForcedReplay {
-        outcome,
-        matching: out.matching,
-        diags: out.diags,
+    ForcedReplay::classify(run_progress(trace, &MatchPolicy::Witness(plan.clone())))
+}
+
+/// Forced replays that share the recorded prefix.
+///
+/// A forced run is identical to the recorded run until the first forced
+/// receive is *offered*: the policy is read only then
+/// ([`MatchPolicy`] picks the posted source pattern), and everything
+/// before it — program counters, matcher queues, the round-robin cursor —
+/// evolves exactly as in the recorded run. So the forker keeps one
+/// recorded "driver" simulation that only moves forward. For each plan it
+/// advances the driver to the plan's *fork point* (its earliest-offered
+/// forced receive, in the recorded run's offer order), clones it, switches
+/// the clone to the plan, and runs the clone to quiescence. The result is
+/// field-for-field what [`forced_replay`] computes from scratch.
+///
+/// Visiting plans in fork-point order never rewinds; a plan that forks
+/// behind the driver restarts it from scratch. At most the driver and one
+/// clone are live at a time.
+pub struct Forker<'a> {
+    prep: Rc<Prep<'a>>,
+    /// Every receive offer of the recorded run, in offer order, as
+    /// (rank index, event index).
+    offers: Vec<(usize, usize)>,
+    /// Position in `offers` of each receive's first offer.
+    first_offer: HashMap<(Rank, Seq), usize>,
+    driver: Sim<'a>,
+    restarts: u64,
+    steps: u64,
+}
+
+impl<'a> Forker<'a> {
+    /// Prescans `trace` once and runs one recorded simulation to learn
+    /// the receive offer order.
+    pub fn new(trace: &'a MemTrace) -> Self {
+        let prep = Rc::new(Prep::new(trace));
+        let mut order = Sim::new(prep.clone(), MatchPolicy::Recorded);
+        order.offer_log = Some(Vec::new());
+        order.run_until(None);
+        let offers = order.offer_log.take().unwrap_or_default();
+        let mut first_offer = HashMap::with_capacity(offers.len());
+        for (pos, &(r, i)) in offers.iter().enumerate() {
+            let ev = &trace.rank(r)[i];
+            first_offer.entry((ev.rank, ev.seq)).or_insert(pos);
+        }
+        Forker {
+            driver: Sim::new(prep.clone(), MatchPolicy::Recorded),
+            prep,
+            offers,
+            first_offer,
+            restarts: 0,
+            steps: 0,
+        }
+    }
+
+    /// Where `plan` leaves the recorded run: the offer position of its
+    /// earliest-offered forced receive. `None` when the recorded run never
+    /// offers any of them (say, a skipped bad-peer receive) — the forced
+    /// run is then the recorded run.
+    pub fn fork_point(&self, plan: &MatchPlan) -> Option<usize> {
+        plan.forced()
+            .iter()
+            .filter_map(|f| self.first_offer.get(&f.recv).copied())
+            .min()
+    }
+
+    /// [`forced_replay`] of `plan`, forked from the shared prefix.
+    pub fn replay(&mut self, plan: &MatchPlan) -> ForcedReplay {
+        if self.prep.p == 0 {
+            return ForcedReplay::classify(ProgressOutcome::default());
+        }
+        let fork = self.fork_point(plan);
+        if fork.is_some_and(|f| self.driver.recv_offers > f) {
+            self.driver = Sim::new(self.prep.clone(), MatchPolicy::Recorded);
+            self.restarts += 1;
+        }
+        let start = self.driver.steps;
+        self.driver.run_until(fork.map(|f| self.offers[f]));
+        let mut sim = self.driver.clone();
+        sim.policy = MatchPolicy::Witness(plan.clone());
+        sim.run_until(None);
+        self.steps += sim.steps - start;
+        ForcedReplay::classify(sim.finish())
+    }
+
+    /// How many times a plan forked behind the driver and forced a
+    /// restart from scratch.
+    pub fn restarts(&self) -> u64 {
+        self.restarts
+    }
+
+    /// Events simulated so far (driver advances plus forked suffixes) —
+    /// the work measure cancellation polling is amortized over.
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps
     }
 }
 
@@ -256,6 +358,7 @@ fn coll_sig(kind: &EventKind) -> Option<CollSig> {
 /// grouping the replayer uses — sub-communicator collectives are expanded
 /// to point-to-point traffic by the tracer, so traced collectives are
 /// always world-sized).
+#[derive(Clone)]
 struct EpochSlot {
     sig: CollSig,
     first: (Rank, Seq),
@@ -263,54 +366,74 @@ struct EpochSlot {
     skews: Vec<String>,
 }
 
-struct Sim<'a> {
-    ranks: Vec<&'a [EventRecord]>,
-    p: usize,
-    policy: &'a MatchPolicy,
-    pc: Vec<usize>,
-    offered: Vec<bool>,
-    matcher: EnvelopeMatcher<LintSend, LintRecv>,
-    issue: u64,
-    matched: HashSet<(Rank, Seq)>,
-    reqs: Vec<HashMap<ReqId, ReqState>>,
-    coll_count: Vec<u64>,
-    epochs: BTreeMap<u64, EpochSlot>,
-    skip: HashSet<(Rank, Seq)>,
-    sends: Vec<SendRec>,
-    pairs: Vec<MatchPair>,
-    diags: Vec<Diagnostic>,
+/// A set of `(rank, seq)` ids as a dense per-rank column: one flag per
+/// id whose seq lies inside its rank's event count, and a hash set for
+/// the rest (only damaged traces have any). Cloning it is a memcpy.
+#[derive(Debug, Clone)]
+struct IdSet {
+    dense: Vec<bool>,
+    extra: HashSet<(Rank, Seq)>,
 }
 
-impl<'a> Sim<'a> {
-    fn new(trace: &'a MemTrace, policy: &'a MatchPolicy) -> Self {
-        let p = trace.num_ranks();
-        Sim {
-            ranks: (0..p).map(|r| trace.rank(r)).collect(),
-            p,
-            policy,
-            pc: vec![0; p],
-            offered: vec![false; p],
-            matcher: EnvelopeMatcher::new(),
-            issue: 0,
-            matched: HashSet::new(),
-            reqs: vec![HashMap::new(); p],
-            coll_count: vec![0; p],
-            epochs: BTreeMap::new(),
-            skip: HashSet::new(),
-            sends: Vec::new(),
-            pairs: Vec::new(),
-            diags: Vec::new(),
+impl IdSet {
+    fn new(len: usize) -> Self {
+        IdSet {
+            dense: vec![false; len],
+            extra: HashSet::new(),
         }
     }
 
+    fn insert(&mut self, slot: Option<usize>, id: (Rank, Seq)) {
+        match slot {
+            Some(i) => self.dense[i] = true,
+            None => {
+                self.extra.insert(id);
+            }
+        }
+    }
+
+    fn contains(&self, slot: Option<usize>, id: (Rank, Seq)) -> bool {
+        match slot {
+            Some(i) => self.dense[i],
+            None => self.extra.contains(&id),
+        }
+    }
+}
+
+/// What every simulation of one trace shares read-only: the trace, the
+/// layout of the dense `(rank, seq)` columns, and the prescan's results.
+struct Prep<'a> {
+    trace: &'a MemTrace,
+    p: usize,
+    /// `base[r]..base[r + 1]` is rank `r`'s run of a dense column.
+    base: Vec<usize>,
+    /// Events the simulation treats as local no-ops.
+    skip: IdSet,
+    /// The prescan's `MPG-BAD-PEER` findings.
+    diags: Vec<Diagnostic>,
+}
+
+impl<'a> Prep<'a> {
     /// Pass over every event flagging peers outside the communicator
     /// (`MPG-BAD-PEER`) and marking events the simulation must treat as
     /// local no-ops (bad peers would never match; self-messages are
     /// already reported by validation).
-    fn prescan(&mut self) {
-        let p = self.p;
+    fn new(trace: &'a MemTrace) -> Self {
+        let p = trace.num_ranks();
+        let mut base = Vec::with_capacity(p + 1);
+        base.push(0);
         for r in 0..p {
-            for ev in self.ranks[r] {
+            base.push(base[r] + trace.rank(r).len());
+        }
+        let mut prep = Prep {
+            trace,
+            p,
+            skip: IdSet::new(base[p]),
+            base,
+            diags: Vec::new(),
+        };
+        for r in 0..p {
+            for ev in trace.rank(r) {
                 let (peer, what) = match ev.kind {
                     EventKind::Send { peer, .. } | EventKind::Isend { peer, .. } => {
                         (Some(peer), "send names destination")
@@ -325,8 +448,9 @@ impl<'a> Sim<'a> {
                     _ => (None, ""),
                 };
                 let Some(peer) = peer else { continue };
+                let id = (ev.rank, ev.seq);
                 if peer as usize >= p {
-                    self.diags.push(
+                    prep.diags.push(
                         Diagnostic::new(
                             Rule::BadPeer,
                             format!("{what} rank {peer} but the trace has {p} ranks"),
@@ -334,28 +458,133 @@ impl<'a> Sim<'a> {
                         .at(ev.rank, ev.seq),
                     );
                     if !ev.kind.is_collective() {
-                        self.skip.insert((ev.rank, ev.seq));
+                        prep.skip.insert(prep.slot(id), id);
                     }
                 } else if peer == ev.rank && !ev.kind.is_collective() {
                     // Self-messages are a validate-pass finding
                     // (MPG-SELF-MESSAGE); skip them here so the matcher
                     // never sees a rank-local channel.
-                    self.skip.insert((ev.rank, ev.seq));
+                    prep.skip.insert(prep.slot(id), id);
                 }
+            }
+        }
+        prep
+    }
+
+    /// Dense-column slot of `id`, when it has one.
+    fn slot(&self, (rank, seq): (Rank, Seq)) -> Option<usize> {
+        let r = rank as usize;
+        if r < self.p && seq < (self.base[r + 1] - self.base[r]) as u64 {
+            Some(self.base[r] + seq as usize)
+        } else {
+            None
+        }
+    }
+
+    fn skipped(&self, id: (Rank, Seq)) -> bool {
+        self.skip.contains(self.slot(id), id)
+    }
+}
+
+/// The lockstep progress simulation. Its polling loop visits ranks round
+/// robin; the cursor and the sweep's progress flag are part of the state,
+/// so a clone taken mid-run resumes in exactly the order the original
+/// would have continued in.
+#[derive(Clone)]
+struct Sim<'a> {
+    prep: Rc<Prep<'a>>,
+    policy: MatchPolicy,
+    pc: Vec<usize>,
+    offered: Vec<bool>,
+    matcher: EnvelopeMatcher<LintSend, LintRecv>,
+    issue: u64,
+    /// Receives offered so far: the offer position of the next one.
+    recv_offers: usize,
+    /// Events executed so far.
+    steps: u64,
+    /// When set, records every receive offer as (rank index, event index).
+    offer_log: Option<Vec<(usize, usize)>>,
+    matched: IdSet,
+    reqs: HashMap<(usize, ReqId), ReqState>,
+    coll_count: Vec<u64>,
+    epochs: BTreeMap<u64, EpochSlot>,
+    sends: Vec<SendRec>,
+    pairs: Vec<MatchPair>,
+    diags: Vec<Diagnostic>,
+    /// Next rank the round-robin loop visits.
+    cursor: usize,
+    /// Whether the current round-robin sweep advanced any rank.
+    progressed: bool,
+}
+
+impl<'a> Sim<'a> {
+    fn new(prep: Rc<Prep<'a>>, policy: MatchPolicy) -> Self {
+        let p = prep.p;
+        Sim {
+            policy,
+            pc: vec![0; p],
+            offered: vec![false; p],
+            matcher: EnvelopeMatcher::new(),
+            issue: 0,
+            recv_offers: 0,
+            steps: 0,
+            offer_log: None,
+            matched: IdSet::new(prep.base[p]),
+            reqs: HashMap::new(),
+            coll_count: vec![0; p],
+            epochs: BTreeMap::new(),
+            sends: Vec::new(),
+            pairs: Vec::new(),
+            diags: prep.diags.clone(),
+            // A finished sweep that progressed: the first call starts a
+            // fresh sweep at rank 0.
+            cursor: p,
+            progressed: true,
+            prep,
+        }
+    }
+
+    /// Runs the round-robin loop — sweep every rank, advancing each as
+    /// far as it can, until a sweep advances none — and returns false at
+    /// quiescence. With `stop = Some((r, i))` it returns true instead just
+    /// before rank `r` offers its receive at event index `i`; a later call
+    /// resumes from there.
+    fn run_until(&mut self, stop: Option<(usize, usize)>) -> bool {
+        loop {
+            if self.cursor == self.prep.p {
+                if !self.progressed {
+                    return false;
+                }
+                self.progressed = false;
+                self.cursor = 0;
+                continue;
+            }
+            let r = self.cursor;
+            if stop == Some((r, self.pc[r])) && !self.offered[r] {
+                return true;
+            }
+            if self.step(r) {
+                self.progressed = true;
+                self.steps += 1;
+            } else {
+                self.cursor += 1;
             }
         }
     }
 
-    fn run(&mut self) {
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for r in 0..self.p {
-                while self.step(r) {
-                    progressed = true;
-                }
-            }
+    fn is_matched(&self, id: (Rank, Seq)) -> bool {
+        self.matched.contains(self.prep.slot(id), id)
+    }
+
+    /// Offers receive `env` (rank index `r`, event index `i`) under the
+    /// policy's source pattern for it.
+    fn offer_recv_at(&mut self, r: usize, i: usize, mut env: LintRecv) {
+        env.src_pattern = self.policy.src_pattern(env.dst, env.seq, env.src_pattern);
+        self.recv_offers += 1;
+        if let Some(log) = &mut self.offer_log {
+            log.push((r, i));
         }
+        self.offer_recv(env);
     }
 
     fn next_issue(&mut self) -> u64 {
@@ -391,8 +620,9 @@ impl<'a> Sim<'a> {
                 .involving([s.src]),
             );
         }
-        self.matched.insert((s.src, s.seq));
-        self.matched.insert((r.dst, r.seq));
+        for id in [(s.src, s.seq), (r.dst, r.seq)] {
+            self.matched.insert(self.prep.slot(id), id);
+        }
         let pair = self.pairs.len();
         self.pairs.push(MatchPair {
             send: (s.src, s.seq),
@@ -402,7 +632,7 @@ impl<'a> Sim<'a> {
             posted_any: r.posted_any,
         });
         if let Some(req) = r.req {
-            if let Some(st) = self.reqs[r.dst as usize].get_mut(&req) {
+            if let Some(st) = self.reqs.get_mut(&(r.dst as usize, req)) {
                 *st = ReqState::RecvDone { pair: Some(pair) };
             }
         }
@@ -411,13 +641,13 @@ impl<'a> Sim<'a> {
     /// A wait at `seq` resolved `req`: stamp the completion point on the
     /// irecv's pair (if it matched) and drop the request.
     fn resolve_req(&mut self, r: usize, req: &ReqId, seq: Seq) {
-        if let Some(ReqState::RecvDone { pair: Some(idx) }) = self.reqs[r].remove(req) {
+        if let Some(ReqState::RecvDone { pair: Some(idx) }) = self.reqs.remove(&(r, *req)) {
             self.pairs[idx].completion = seq;
         }
     }
 
     fn req_pending(&self, r: usize, req: &ReqId) -> Option<(Rank, Seq)> {
-        match self.reqs[r].get(req) {
+        match self.reqs.get(&(r, *req)) {
             Some(ReqState::RecvPending { src, seq }) => Some((*src, *seq)),
             _ => None,
         }
@@ -426,7 +656,7 @@ impl<'a> Sim<'a> {
     /// Executes the current event of rank `r` if its blocking condition is
     /// satisfied. Returns true when the rank advanced.
     fn step(&mut self, r: usize) -> bool {
-        let events = self.ranks[r];
+        let events = self.prep.trace.rank(r);
         let i = self.pc[r];
         if i >= events.len() {
             return false;
@@ -448,7 +678,7 @@ impl<'a> Sim<'a> {
                 bytes,
                 protocol,
             } => {
-                if self.skip.contains(&(rank, seq)) {
+                if self.prep.skipped((rank, seq)) {
                     true
                 } else {
                     if !self.offered[r] {
@@ -475,7 +705,7 @@ impl<'a> Sim<'a> {
                     // Only the synchronous form waits for the match; the
                     // eager assumption keeps head-to-head standard sends
                     // from reporting false deadlocks.
-                    *protocol != SendProtocol::Synchronous || self.matched.contains(&(rank, seq))
+                    *protocol != SendProtocol::Synchronous || self.is_matched((rank, seq))
                 }
             }
             EventKind::Recv {
@@ -484,23 +714,23 @@ impl<'a> Sim<'a> {
                 bytes,
                 posted_any,
             } => {
-                if self.skip.contains(&(rank, seq)) {
+                if self.prep.skipped((rank, seq)) {
                     true
                 } else {
                     if !self.offered[r] {
                         self.offered[r] = true;
                         let env = LintRecv {
                             dst: rank,
-                            src_pattern: self.policy.src_pattern(rank, seq, *peer),
+                            src_pattern: *peer,
                             tag_pattern: *tag,
                             bytes: *bytes,
                             seq,
                             posted_any: *posted_any,
                             req: None,
                         };
-                        self.offer_recv(env);
+                        self.offer_recv_at(r, i, env);
                     }
-                    self.matched.contains(&(rank, seq))
+                    self.is_matched((rank, seq))
                 }
             }
             EventKind::Isend {
@@ -509,8 +739,8 @@ impl<'a> Sim<'a> {
                 bytes,
                 req,
             } => {
-                self.reqs[r].insert(*req, ReqState::SendDone);
-                if !self.skip.contains(&(rank, seq)) {
+                self.reqs.insert((r, *req), ReqState::SendDone);
+                if !self.prep.skipped((rank, seq)) {
                     let issue = self.next_issue();
                     self.sends.push(SendRec {
                         src: rank,
@@ -539,20 +769,22 @@ impl<'a> Sim<'a> {
                 req,
                 posted_any,
             } => {
-                if self.skip.contains(&(rank, seq)) {
-                    self.reqs[r].insert(*req, ReqState::RecvDone { pair: None });
+                if self.prep.skipped((rank, seq)) {
+                    self.reqs
+                        .insert((r, *req), ReqState::RecvDone { pair: None });
                 } else {
-                    self.reqs[r].insert(*req, ReqState::RecvPending { src: *peer, seq });
+                    self.reqs
+                        .insert((r, *req), ReqState::RecvPending { src: *peer, seq });
                     let env = LintRecv {
                         dst: rank,
-                        src_pattern: self.policy.src_pattern(rank, seq, *peer),
+                        src_pattern: *peer,
                         tag_pattern: *tag,
                         bytes: *bytes,
                         seq,
                         posted_any: *posted_any,
                         req: Some(*req),
                     };
-                    self.offer_recv(env);
+                    self.offer_recv_at(r, i, env);
                 }
                 true
             }
@@ -592,7 +824,7 @@ impl<'a> Sim<'a> {
                 let k = self.coll_count[r] - 1;
                 self.epochs
                     .get(&k)
-                    .is_some_and(|s| s.arrived.len() == self.p)
+                    .is_some_and(|s| s.arrived.len() == self.prep.p)
             }
             _ => true,
         };
@@ -608,7 +840,7 @@ impl<'a> Sim<'a> {
         let sig = coll_sig(&ev.kind).expect("collective event");
         let k = self.coll_count[r];
         self.coll_count[r] += 1;
-        let world_bad = sig.comm_size as usize != self.p;
+        let world_bad = sig.comm_size as usize != self.prep.p;
         let slot = self.epochs.entry(k).or_insert_with(|| EpochSlot {
             sig: sig.clone(),
             first: (rank, ev.seq),
@@ -624,7 +856,7 @@ impl<'a> Sim<'a> {
         if world_bad {
             slot.skews.push(format!(
                 "rank {rank} names comm size {} but the trace has {} ranks",
-                sig.comm_size, self.p
+                sig.comm_size, self.prep.p
             ));
         }
         slot.arrived.push((rank, ev.seq));
@@ -633,7 +865,7 @@ impl<'a> Sim<'a> {
     /// Wait-for edges of a rank stuck at quiescence: which ranks could
     /// unblock it.
     fn wait_edges(&self, r: usize) -> Vec<Rank> {
-        let ev = &self.ranks[r][self.pc[r]];
+        let ev = &self.prep.trace.rank(r)[self.pc[r]];
         match &ev.kind {
             EventKind::Send { peer, .. } | EventKind::Recv { peer, .. } => vec![*peer],
             EventKind::Wait { req } => self
@@ -658,7 +890,7 @@ impl<'a> Sim<'a> {
                     .get(&k)
                     .map(|s| s.arrived.iter().map(|&(rank, _)| rank).collect())
                     .unwrap_or_default();
-                (0..self.p as Rank)
+                (0..self.prep.p as Rank)
                     .filter(|rank| !arrived.contains(rank))
                     .collect()
             }
@@ -670,7 +902,7 @@ impl<'a> Sim<'a> {
     /// deadlock cycle (its blocked event, plus the irecvs a wait covers) —
     /// used to suppress redundant unmatched-envelope diagnostics.
     fn blocked_ops(&self, r: usize) -> Vec<(Rank, Seq)> {
-        let ev = &self.ranks[r][self.pc[r]];
+        let ev = &self.prep.trace.rank(r)[self.pc[r]];
         let mut ops = vec![(ev.rank, ev.seq)];
         let reqs: &[ReqId] = match &ev.kind {
             EventKind::Wait { req } => std::slice::from_ref(req),
@@ -687,9 +919,9 @@ impl<'a> Sim<'a> {
     }
 
     fn finish(mut self) -> ProgressOutcome {
-        let p = self.p;
+        let p = self.prep.p;
         let stuck: Vec<usize> = (0..p)
-            .filter(|&r| self.pc[r] < self.ranks[r].len())
+            .filter(|&r| self.pc[r] < self.prep.trace.rank(r).len())
             .collect();
         let completed = stuck.is_empty();
 
@@ -708,7 +940,7 @@ impl<'a> Sim<'a> {
                 let mut parts = Vec::new();
                 for &rank in &comp {
                     let r = rank as usize;
-                    let ev = &self.ranks[r][self.pc[r]];
+                    let ev = &self.prep.trace.rank(r)[self.pc[r]];
                     let within: Vec<Rank> = self
                         .wait_edges(r)
                         .into_iter()
@@ -726,7 +958,7 @@ impl<'a> Sim<'a> {
                 }
                 let span = {
                     let r = comp[0] as usize;
-                    (comp[0], self.ranks[r][self.pc[r]].seq)
+                    (comp[0], self.prep.trace.rank(r)[self.pc[r]].seq)
                 };
                 self.diags.push(
                     Diagnostic::new(
@@ -940,6 +1172,94 @@ fn cyclic_sccs(adj: &HashMap<Rank, Vec<Rank>>) -> Vec<Vec<Rank>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn trace_of(ranks: Vec<Vec<EventKind>>) -> MemTrace {
+        let mut mt = MemTrace::new(ranks.len());
+        for (r, kinds) in ranks.into_iter().enumerate() {
+            for (i, kind) in kinds.into_iter().enumerate() {
+                let t = i as u64 * 10;
+                mt.push(EventRecord {
+                    rank: r as Rank,
+                    seq: i as Seq,
+                    t_start: t,
+                    t_end: t + 10,
+                    kind,
+                });
+            }
+        }
+        mt
+    }
+
+    fn recv(peer: Rank, posted_any: bool) -> EventKind {
+        EventKind::Recv {
+            peer,
+            tag: 0,
+            bytes: 8,
+            posted_any,
+        }
+    }
+
+    fn send(peer: Rank) -> EventKind {
+        EventKind::Send {
+            peer,
+            tag: 0,
+            bytes: 8,
+            protocol: SendProtocol::Standard,
+        }
+    }
+
+    fn assert_same(a: &ForcedReplay, b: &ForcedReplay) {
+        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.matching.sends, b.matching.sends);
+        assert_eq!(a.matching.pairs, b.matching.pairs);
+        assert_eq!(a.matching.completed, b.matching.completed);
+        assert_eq!(a.diags, b.diags);
+    }
+
+    #[test]
+    fn plan_on_a_never_offered_receive_replays_the_recorded_run() {
+        // Rank 0's seq-1 receive names rank 9 of 3: a bad peer the
+        // simulation skips, so the recorded run never offers it.
+        let t = trace_of(vec![
+            vec![
+                EventKind::Init,
+                recv(9, false),
+                recv(1, true),
+                recv(2, true),
+                EventKind::Finalize,
+            ],
+            vec![EventKind::Init, send(0), EventKind::Finalize],
+            vec![EventKind::Init, send(0), EventKind::Finalize],
+        ]);
+        let mut forker = Forker::new(&t);
+        let skipped = MatchPlan::new().force((0, 1), 2);
+        assert_eq!(forker.fork_point(&skipped), None);
+        let forked = forker.replay(&skipped);
+        assert_same(&forked, &forced_replay(&t, &skipped));
+        let recorded = run_progress(&t, &MatchPolicy::Recorded);
+        assert_eq!(forked.matching.pairs, recorded.matching.pairs);
+        assert_eq!(forked.diags, recorded.diags);
+        assert!(forked.diags.iter().any(|d| d.rule == Rule::BadPeer));
+
+        // Real forks behind the run-to-the-end driver restart it.
+        let swap = MatchPlan::new().force((0, 2), 2).force((0, 3), 1);
+        assert_eq!(forker.fork_point(&swap), Some(0));
+        let forked = forker.replay(&swap);
+        assert_same(&forked, &forced_replay(&t, &swap));
+        assert_eq!(forked.outcome, ForcedOutcome::Completed);
+        assert_eq!(forker.restarts(), 1);
+        let late = MatchPlan::new().force((0, 3), 1);
+        assert_eq!(forker.fork_point(&late), Some(1));
+        assert_same(&forker.replay(&late), &forced_replay(&t, &late));
+        assert_eq!(forker.restarts(), 1, "forward forks reuse the driver");
+    }
+
+    #[test]
+    fn forker_on_an_empty_trace_matches_forced_replay() {
+        let t = MemTrace::new(0);
+        let plan = MatchPlan::new().force((0, 0), 1);
+        assert_same(&Forker::new(&t).replay(&plan), &forced_replay(&t, &plan));
+    }
 
     #[test]
     fn scc_finds_two_cycles() {

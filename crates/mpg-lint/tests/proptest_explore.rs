@@ -11,15 +11,22 @@
 //! 2. **A zero budget is a no-op.** `lint_explore` at budget 0 must be
 //!    bit-identical to plain `lint_full` — the pass ships registered but
 //!    inert, and pre-explorer output never changes.
+//! 3. **Forking is exact.** A [`Forker`] replay of any plan — including
+//!    plans that fork behind its driver or name receives the recorded run
+//!    never offers — equals the from-scratch `forced_replay` field for
+//!    field.
 
-use mpg_core::forced::ForcedOutcome;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
+
+use mpg_core::forced::{ForcedOutcome, MatchPlan};
 use mpg_lint::{
     forced_replay, lint_explore, lint_full, matching_makespan, ExploreFindingKind, ExploreOptions,
-    LintContext,
+    Forker, LintContext,
 };
 use mpg_noise::PlatformSignature;
 use mpg_sim::RankCtx;
-use mpg_trace::ANY_SOURCE;
+use mpg_trace::{EventKind, ANY_SOURCE};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -170,5 +177,64 @@ proptest! {
         prop_assert_eq!(out.diags, lint_full(&trace));
         prop_assert!(out.findings.is_empty());
         prop_assert_eq!(out.stats, mpg_lint::ExploreStats::default());
+    }
+}
+
+/// A plan's raw draw: per forced receive, which receive event (taken
+/// modulo the trace's receive count), the forced source, and a 1-in-8
+/// chance of naming a receive that does not exist (never offered).
+type PlanDraw = Vec<(usize, u32, u8)>;
+
+fn plan_of(draw: &PlanDraw, recvs: &[(u32, u64)], p: u32) -> MatchPlan {
+    draw.iter()
+        .fold(MatchPlan::new(), |plan, (pick, src, ghost)| {
+            let (rank, seq) = recvs[pick % recvs.len()];
+            let seq = if *ghost == 0 { seq + 1_000 } else { seq };
+            plan.force((rank, seq), src % p)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    #[test]
+    fn forked_replay_equals_from_scratch_replay(
+        p in 2u32..6,
+        sim_seed in 0u64..1_000,
+        rounds in prop::collection::vec(round_strategy(), 1..5),
+        draws in prop::collection::vec(
+            prop::collection::vec((0usize..1_000, 0u32..8, 0u8..8), 1..4),
+            1..6,
+        ),
+    ) {
+        let trace = trace_of(p, sim_seed, &rounds);
+        let recvs: Vec<(u32, u64)> = (0..trace.num_ranks())
+            .flat_map(|r| trace.rank(r))
+            .filter(|ev| matches!(ev.kind, EventKind::Recv { .. } | EventKind::Irecv { .. }))
+            .map(|ev| (ev.rank, ev.seq))
+            .collect();
+        let plans: Vec<MatchPlan> = if recvs.is_empty() {
+            Vec::new()
+        } else {
+            draws.iter().map(|d| plan_of(d, &recvs, p)).collect()
+        };
+        let mut forker = Forker::new(&trace);
+        // The drawn order, then latest fork point first: the second pass
+        // keeps forking behind the driver.
+        let mut latest_first = plans.clone();
+        latest_first.sort_by_key(|plan| Reverse(forker.fork_point(plan)));
+        for plan in plans.iter().chain(&latest_first) {
+            let forked = forker.replay(plan);
+            let scratch = forced_replay(&trace, plan);
+            prop_assert_eq!(forked.outcome, scratch.outcome, "plan [{}]", plan);
+            prop_assert_eq!(&forked.matching.sends, &scratch.matching.sends);
+            prop_assert_eq!(&forked.matching.pairs, &scratch.matching.pairs);
+            prop_assert_eq!(forked.matching.completed, scratch.matching.completed);
+            prop_assert_eq!(&forked.diags, &scratch.diags);
+        }
+        let forks: BTreeSet<usize> = plans.iter().filter_map(|plan| forker.fork_point(plan)).collect();
+        if forks.len() >= 2 {
+            prop_assert!(forker.restarts() > 0, "a fork behind the driver must restart it");
+        }
     }
 }

@@ -86,7 +86,7 @@ impl RecvEnvelope for PostedRecv {
 
 /// Pure matching state over generic envelopes: in-flight (unexpected)
 /// messages and posted receives.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EnvelopeMatcher<S, R> {
     /// Unmatched sends, FIFO per (src, dst) channel.
     in_flight: HashMap<(Rank, Rank), VecDeque<S>>,
@@ -121,12 +121,17 @@ impl<S: SendEnvelope, R: RecvEnvelope> EnvelopeMatcher<S, R> {
     /// Offers a send to the matcher. If a posted receive accepts it, the
     /// matched pair is returned; otherwise the message is queued.
     pub fn post_send(&mut self, msg: S) -> Option<(S, R)> {
-        let posted = self.posted.entry(msg.dst()).or_default();
-        if let Some(i) = posted
-            .iter()
-            .position(|pr| pr.accepts(msg.src(), msg.tag()))
-        {
-            return Some((msg, posted.remove(i)));
+        if let Some(posted) = self.posted.get_mut(&msg.dst()) {
+            if let Some(i) = posted
+                .iter()
+                .position(|pr| pr.accepts(msg.src(), msg.tag()))
+            {
+                let pr = posted.remove(i);
+                if posted.is_empty() {
+                    self.posted.remove(&msg.dst());
+                }
+                return Some((msg, pr));
+            }
         }
         self.in_flight
             .entry((msg.src(), msg.dst()))
@@ -431,5 +436,24 @@ mod tests {
         assert_eq!(chans, vec![(0, 1), (2, 1)]);
         assert_eq!(recvs.len(), 1);
         assert_eq!(recvs[0].dst, 3);
+    }
+
+    #[test]
+    fn sends_never_leave_empty_posted_queues() {
+        let mut m: EnvelopeMatcher<MsgInFlight, PostedRecv> = EnvelopeMatcher::new();
+        for dst in 1..64 {
+            assert!(m.post_send(msg(0, dst, 0, u64::from(dst))).is_none());
+        }
+        assert!(
+            m.posted.is_empty(),
+            "unmatched sends must not add posted keys"
+        );
+        let o = m.next_post_order();
+        assert!(m.post_recv(recv(5, 0, 7, o)).is_none());
+        assert!(m.post_send(msg(0, 5, 7, 100)).is_some());
+        assert!(
+            m.posted.is_empty(),
+            "matching the last posted receive drops its queue"
+        );
     }
 }

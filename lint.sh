@@ -207,6 +207,38 @@ cmp -s "$SMOKE_TMP/explore-lint.txt" "$SMOKE_TMP/explore-b0.txt" || {
     echo "lint: FAIL: budget-0 explore diverged from plain lint" >&2; exit 1; }
 echo "    exit contract holds; warm frontier = cold bytes; budget 0 inert"
 
+# Large-rank smoke, first row: lint and budget-0 explore on a generated
+# 1024-rank master-worker trace. The master's 64 wildcard receives have
+# 63 concurrent alternates each, so the race pass replays 4032 forced
+# schedules; every one must validate (64 MPG-WILD-RACE findings), lint
+# must honor its 0-or-1 exit contract, and budget-0 explore must print
+# exactly the lint report.
+echo "==> large-rank smoke: lint + explore on master-worker x1024"
+BIG_TRACE="$SMOKE_TMP/mw-1024"
+"$MPGTOOL" gen --workload master-worker --ranks 1024 --seed 1 "$BIG_TRACE" >/dev/null
+set +e
+"$MPGTOOL" lint "$BIG_TRACE" --json --all > "$SMOKE_TMP/big-lint.json"
+got=$?
+set -e
+if [ "$got" -gt 1 ]; then
+    echo "lint: FAIL: lint --json exited $got on the 1024-rank trace" >&2
+    exit 1
+fi
+races=$(grep -o '"rule":"MPG-WILD-RACE"' "$SMOKE_TMP/big-lint.json" | wc -l)
+if [ "$races" -ne 64 ]; then
+    echo "lint: FAIL: 1024-rank lint reported $races MPG-WILD-RACE (want 64)" >&2
+    exit 1
+fi
+set +e
+"$MPGTOOL" lint "$BIG_TRACE" --all > "$SMOKE_TMP/big-lint.txt"
+"$MPGTOOL" explore "$BIG_TRACE" --budget 0 --all > "$SMOKE_TMP/big-b0-raw.txt"
+set -e
+grep -v "^explore:" "$SMOKE_TMP/big-b0-raw.txt" > "$SMOKE_TMP/big-b0.txt"
+cmp -s "$SMOKE_TMP/big-lint.txt" "$SMOKE_TMP/big-b0.txt" || {
+    echo "lint: FAIL: 1024-rank budget-0 explore diverged from lint" >&2; exit 1; }
+rm -rf "$BIG_TRACE"
+echo "    64 validated races; budget 0 = lint at 1024 ranks"
+
 # Supervised service smoke: drive `mpgtool serve` over the line protocol.
 # Leg 1 — seeded chaos storm (panics, stalls, transient I/O, artifact
 # corruption) across 12 jobs: nothing may wedge and the invariant checker
